@@ -665,6 +665,69 @@ func BenchmarkShardedLookupBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkShardedApplyBatch measures one 32-entry ApplyBatch — the
+// served frame size — against a preloaded Shortcut-EH store, unsharded
+// (WithConcurrency) and at 1, 2 and 4 shards, for a pure-GET batch and
+// a 16 GET / 16 PUT mix. One op is one batch; allocs/op is per batch.
+func BenchmarkShardedApplyBatch(b *testing.B) {
+	const (
+		n       = 1 << 20
+		batch   = 32
+		batches = 1024
+	)
+	for _, shards := range []int{0, 1, 2, 4} {
+		opts := []Option{WithConcurrency(true), WithPollInterval(time.Millisecond)}
+		if shards > 0 {
+			opts = append(opts, WithShards(shards))
+		}
+		s, err := Open(KindShortcutEH, opts...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		keys := make([]uint64, 4096)
+		vals := make([]uint64, 4096)
+		harness.Chunks(n, len(keys), func(lo, hi int) {
+			k, v := keys[:hi-lo], vals[:hi-lo]
+			for i := range k {
+				k[i] = workload.Key(6, uint64(lo+i))
+				v[i] = uint64(lo + i)
+			}
+			if err := s.InsertBatch(k, v); err != nil {
+				b.Fatal(err)
+			}
+		})
+		if !s.WaitSync(time.Minute) {
+			b.Fatal("store never synced")
+		}
+		for _, mix := range []string{"get32", "mixed32"} {
+			bs := make([]OpBatch, batches)
+			rng := uint64(0x9E3779B97F4A7C15)
+			for i := range bs {
+				for j := 0; j < batch; j++ {
+					rng = rng*6364136223846793005 + 1442695040888963407
+					k := workload.Key(6, (rng>>11)%n)
+					if mix == "mixed32" && j%2 == 1 {
+						bs[i].Put(k, rng)
+					} else {
+						bs[i].Get(k)
+					}
+				}
+			}
+			b.Run(fmt.Sprintf("shards=%d/%s", shards, mix), func(b *testing.B) {
+				var res OpResults
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := s.ApplyBatch(&bs[i%batches], &res); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		s.Close()
+	}
+}
+
 // --- vmsim: the simulated translation path itself. ---
 
 func BenchmarkSimAccess(b *testing.B) {

@@ -77,15 +77,21 @@
 //     parallel lookups, exclusive mutation.
 //   - WithShards(n) hash-partitions the keyspace across n independent
 //     sub-stores, each with its own lock stripe and page pool. Single
-//     operations route by key hash; batches split by shard and fan out
+//     operations route by key hash; every batch path splits by shard in
+//     one pass and runs the sub-batches inline (below 128 entries) or
 //     across goroutines; Stats aggregates; WaitSync and Close fan out and
 //     drain. Writers to different shards proceed in parallel.
 //
 // Under either option, pure-GET traffic takes a lock-free fast path:
 // writers bump a per-shard sequence counter (odd while mutating), and
-// readers run optimistic seqlock passes — plus, with WithReadCache(true),
-// probes of a small hot-key cache whose entries are stamped with that
-// counter, so one write invalidates the whole cache in O(1). Each index
+// readers run optimistic seqlock passes — with WithReadCache(true) first
+// probing a small hot-key cache whose entries are stamped with that
+// counter, so one write invalidates the whole cache in O(1), then one
+// batch lookup over the keys the cache did not answer, so Shortcut-EH
+// routes once per pass. A pass may overlap a directory doubling; the
+// Shortcut-EH batch lookup holds a reader grace period, so a retired
+// shortcut generation is unmapped only after the passes that could have
+// pinned it have ended. Each index
 // kind carries a readSafe capability bit recording whether its Lookup is
 // free of side effects; kinds that mutate on read (KindHTI migrates
 // entries on access) clear it and keep the locked path, so the fast path
@@ -133,8 +139,13 @@
 // The server and client packages put a Store on the network: a TCP
 // server speaking a length-prefixed binary protocol with full
 // pipelining, whose per-connection coalescer gathers pipelined requests
-// into InsertBatch/LookupBatch/DeleteBatch calls — the once-per-batch
-// routing decision and the sharded fan-out, exploited per round trip.
+// into one ApplyBatch call — the once-per-batch routing decision and the
+// sharded fan-out, exploited per round trip. ApplyBatch writes into the
+// caller's OpResults, which also carries the sharded store's per-call
+// working memory (route column, per-shard sub-batches and results): one
+// OpResults per connection makes the serve path 0 allocs/op, sharded
+// stores included, and an OpResults must not be shared by concurrent
+// ApplyBatch calls.
 // cmd/ehserver is the standalone daemon (every Open option as a flag),
 // cmd/ehload the YCSB load generator that records throughput and HDR
 // latency percentiles to BENCH_server.json.

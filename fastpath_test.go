@@ -323,3 +323,158 @@ func TestClosedBatchPathsDoNotAllocate(t *testing.T) {
 		t.Fatalf("closed DeleteBatch allocates %.1f times per call, want 0", n)
 	}
 }
+
+// TestReadCacheServesPartialBatches checks that a batch mixing cached
+// and uncached keys is served per key: the resident keys count as cache
+// reads, every other key as one cache miss and one seqlock read, so the
+// hit rate FastpathCacheReads/(FastpathCacheReads+CacheMisses) stays
+// per key.
+func TestReadCacheServesPartialBatches(t *testing.T) {
+	if raceEnabled {
+		t.Skip("seqlock path is disabled under -race; the cache then answers whole batches only")
+	}
+	s, err := Open(KindShortcutEH, WithConcurrency(true), WithReadCache(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := uint64(0); i < 64; i++ {
+		if err := s.Insert(i, i*10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var b op.Batch
+	var res op.Results
+	for round := 0; round < 10; round++ {
+		applyGets(t, s, &b, &res, 1, 2, 3, 4)
+	}
+	before := s.Stats()
+	// 50..53 were never read, so they cannot be resident; 1000 is absent.
+	keys := []uint64{1, 50, 2, 51, 3, 52, 4, 53, 1000}
+	applyGets(t, s, &b, &res, keys...)
+	for i, k := range keys {
+		want, wantOK := k*10, k < 64
+		if res.Found[i] != wantOK || (wantOK && res.Vals[i] != want) {
+			t.Fatalf("entry %d (key %d): got (%d, %v), want (%d, %v)", i, k, res.Vals[i], res.Found[i], want, wantOK)
+		}
+	}
+	st := s.Stats()
+	hits := st.FastpathCacheReads - before.FastpathCacheReads
+	misses := st.CacheMisses - before.CacheMisses
+	seq := st.FastpathSeqlockReads - before.FastpathSeqlockReads
+	if hits == 0 || hits+misses != uint64(len(keys)) || seq != misses {
+		t.Fatalf("per-key accounting of a partly cached batch: cache reads +%d, misses +%d, seqlock reads +%d; want hits > 0, hits+misses = %d, seqlock reads = misses",
+			hits, misses, seq, len(keys))
+	}
+}
+
+// TestOptimisticReadsSurviveDirectoryDoubling races large pure-GET
+// batches, through ApplyBatch and LookupBatch, against writes that keep
+// doubling and halving Shortcut-EH's directory. Creates then follow each
+// other back to back — under synchronous maintenance on the writer goroutine, with
+// a 1ms poll several per mapper tick — so a lock-free pass that pinned a
+// shortcut generation sees it retired while it reads. The generation
+// must stay mapped until the pass ends (a read of unmapped memory kills
+// the process), and every validated answer must be right.
+func TestOptimisticReadsSurviveDirectoryDoubling(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opts []Option
+	}{
+		{"sync", []Option{WithSynchronousMaintenance(true)}},
+		{"poll1ms", []Option{WithPollInterval(time.Millisecond)}},
+	} {
+		for _, shards := range []int{1, 2} {
+			t.Run(c.name+"/shards="+itoa(uint64(shards)), func(t *testing.T) {
+				s, err := Open(KindShortcutEH, append([]Option{WithShards(shards), WithConcurrency(true), WithMergeLoadFactor(0.25)}, c.opts...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				raceDoublings(t, s)
+			})
+		}
+	}
+}
+
+func raceDoublings(t *testing.T, s Store) {
+	const stable = seqlockMaxKeys // keys the readers check; never rewritten
+	for k := uint64(0); k < stable; k++ {
+		if err := s.Insert(k, k*3+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	budget := 300 * time.Millisecond
+	if testing.Short() {
+		budget = 100 * time.Millisecond
+	}
+	deadline := time.Now().Add(budget)
+	var wg sync.WaitGroup
+	var writing, failed atomic.Bool
+	writing.Store(true)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer writing.Store(false)
+		// Grow the table by a block of fresh keys, then delete the block:
+		// buckets split and merge, so the directory doubles and halves
+		// again and again, and every doubling or halving is a create.
+		const block = 1 << 10
+		for time.Now().Before(deadline) && !failed.Load() {
+			for k := uint64(1 << 40); k < 1<<40+block; k++ {
+				if err := s.Insert(k, k); err != nil {
+					t.Errorf("writer: %v", err)
+					return
+				}
+			}
+			for k := uint64(1 << 40); k < 1<<40+block; k++ {
+				s.Delete(k)
+			}
+		}
+	}()
+	// One reader, so the writer keeps a CPU on a two-CPU host: a writer
+	// starved of CPU makes too few creates to retire a generation under a
+	// pass.
+	var b op.Batch
+	var res op.Results
+	keys := make([]uint64, stable)
+	out := make([]uint64, stable)
+	for i := range keys {
+		keys[i] = uint64(i)
+	}
+	for pass := 0; writing.Load() && !failed.Load(); pass++ {
+		var found []bool
+		var vals []uint64
+		if pass%2 == 0 {
+			b.Reset()
+			for _, k := range keys {
+				b.Get(k)
+			}
+			if err := s.ApplyBatch(&b, &res); err != nil {
+				t.Errorf("ApplyBatch: %v", err)
+				failed.Store(true)
+				break
+			}
+			found, vals = res.Found, res.Vals
+		} else {
+			found, vals = s.LookupBatch(keys, out), out
+		}
+		for i, k := range keys {
+			if !found[i] || vals[i] != k*3+1 {
+				t.Errorf("pass %d: key %d = (%d, %v), want (%d, true)", pass, k, vals[i], found[i], k*3+1)
+				failed.Store(true)
+				break
+			}
+		}
+	}
+	wg.Wait()
+	if failed.Load() {
+		return
+	}
+	st := s.Stats()
+	if st.CreatesApplied < 4 {
+		t.Fatalf("only %d shortcut creates: the writer never retired a generation", st.CreatesApplied)
+	}
+	t.Logf("creates=%d seqlock reads=%d retries=%d fallbacks=%d", st.CreatesApplied,
+		st.FastpathSeqlockReads, st.SeqlockRetries, st.SeqlockFallbacks)
+}

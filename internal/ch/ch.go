@@ -155,20 +155,32 @@ func (t *Table) InsertBatch(keys, values []uint64) error {
 // have length at least len(keys)) and returning per-key presence.
 func (t *Table) LookupBatch(keys []uint64, out []uint64) []bool {
 	ok := make([]bool, len(keys))
-	for i, k := range keys {
-		out[i], ok[i] = t.Lookup(k)
-	}
+	t.LookupInto(keys, out, ok)
 	return ok
+}
+
+// LookupInto is LookupBatch writing presence into the caller's found
+// column (length at least len(keys)) instead of allocating one.
+func (t *Table) LookupInto(keys, vals []uint64, found []bool) {
+	for i, k := range keys {
+		vals[i], found[i] = t.Lookup(k)
+	}
 }
 
 // DeleteBatch removes every key, returning per-key presence; semantically
 // a loop of Delete calls with the per-call overhead amortized.
 func (t *Table) DeleteBatch(keys []uint64) []bool {
 	ok := make([]bool, len(keys))
-	for i, k := range keys {
-		ok[i] = t.Delete(k)
-	}
+	t.DeleteInto(keys, ok)
 	return ok
+}
+
+// DeleteInto is DeleteBatch writing presence into the caller's found
+// column (length at least len(keys)) instead of allocating one.
+func (t *Table) DeleteInto(keys []uint64, found []bool) {
+	for i, k := range keys {
+		found[i] = t.Delete(k)
+	}
 }
 
 // Range calls fn for every stored entry until fn returns false. Iteration

@@ -213,12 +213,18 @@ func (t *Table) InsertBatch(keys, values []uint64) error {
 // concurrently, so it cannot change mid-batch.
 func (t *Table) LookupBatch(keys []uint64, out []uint64) []bool {
 	ok := make([]bool, len(keys))
+	t.LookupInto(keys, out, ok)
+	return ok
+}
+
+// LookupInto is LookupBatch writing presence into the caller's found
+// column (length at least len(keys)) instead of allocating one.
+func (t *Table) LookupInto(keys, vals []uint64, found []bool) {
 	gd := t.gd
 	for i, k := range keys {
 		idx := hashfn.DirIndex(hashfn.Hash(k), gd)
-		out[i], ok[i] = bucket.ViewAddr(t.dir[idx]).Lookup(k)
+		vals[i], found[i] = bucket.ViewAddr(t.dir[idx]).Lookup(k)
 	}
-	return ok
 }
 
 // Range calls fn for every stored entry until fn returns false. Each
@@ -261,25 +267,30 @@ func (t *Table) Delete(key uint64) bool {
 // deletes without merging never change the directory shape.
 func (t *Table) DeleteBatch(keys []uint64) []bool {
 	ok := make([]bool, len(keys))
-	gd := t.gd
-	for i, k := range keys {
-		idx := hashfn.DirIndex(hashfn.Hash(k), gd)
-		if bucket.ViewAddr(t.dir[idx]).Delete(k) {
-			t.count--
-			ok[i] = true
-		}
-	}
+	t.DeleteInto(keys, ok)
 	return ok
 }
 
-// DeleteAndMergeBatch removes every key through DeleteAndMerge, so
-// underfull buckets coalesce when Config.MergeLoadFactor enables it.
-func (t *Table) DeleteAndMergeBatch(keys []uint64) []bool {
-	ok := make([]bool, len(keys))
+// DeleteInto is DeleteBatch writing presence into the caller's found
+// column (length at least len(keys)) instead of allocating one.
+func (t *Table) DeleteInto(keys []uint64, found []bool) {
+	gd := t.gd
 	for i, k := range keys {
-		ok[i] = t.DeleteAndMerge(k)
+		idx := hashfn.DirIndex(hashfn.Hash(k), gd)
+		found[i] = bucket.ViewAddr(t.dir[idx]).Delete(k)
+		if found[i] {
+			t.count--
+		}
 	}
-	return ok
+}
+
+// DeleteAndMergeInto removes every key through DeleteAndMerge, so
+// underfull buckets coalesce when Config.MergeLoadFactor enables it, and
+// writes presence into the caller's found column.
+func (t *Table) DeleteAndMergeInto(keys []uint64, found []bool) {
+	for i, k := range keys {
+		found[i] = t.DeleteAndMerge(k)
+	}
 }
 
 // split splits the bucket referenced by directory slot idx, doubling the

@@ -452,22 +452,128 @@ func CountRuns(kinds []Kind) (runs [3]uint64) {
 // the batch's entries: Found[i] is presence for Get and Del entries (and
 // acceptance for Put entries), Vals[i] is the value of a Get hit. Reset
 // sizes and zeroes it; the arenas are reused.
+//
+// A Results also carries the working memory of a layer that splits the
+// batch into parts (the sharded store): the route column and the per-part
+// sub-batches and results, reused across calls like the outcome columns;
+// and that of a layer that answers part of a batch itself (the hot-key
+// cache) and looks the rest up in one pass (LookupMissing).
+// A caller that keeps one Results per stream of calls — the server keeps
+// one per connection — therefore applies batches without allocating, and
+// a Results must not be shared by concurrent calls.
 type Results struct {
 	Found []bool
 	Vals  []uint64
+
+	route   []uint32  // part of each entry, in entry order
+	parts   []Batch   // one sub-batch per part, in entry order
+	partRes []Results // outcomes of parts[p]
+	cursor  []int     // per-part count, then gather position
+
+	missPos  []uint32 // entries LookupMissing looks up, in entry order
+	missKeys []uint64 // their keys
+	miss     *Results // their outcomes
 }
 
 // Reset sizes the results for n entries, all zero.
 func (r *Results) Reset(n int) {
 	if cap(r.Found) < n {
 		r.Found = make([]bool, n)
-		r.Vals = make([]uint64, n)
 	} else {
 		r.Found = r.Found[:n]
+		clear(r.Found)
+	}
+	if cap(r.Vals) < n {
+		r.Vals = make([]uint64, n)
+	} else {
 		r.Vals = r.Vals[:n]
-		for i := range r.Found {
-			r.Found[i] = false
-			r.Vals[i] = 0
+		clear(r.Vals)
+	}
+}
+
+// Split sizes r for b and partitions b's entries into parts sub-batches
+// by partOf(key), which must lie in [0, parts). Every sub-batch keeps
+// entry order, so per-key operation order survives the split. The
+// sub-batches and their results are r's working memory, returned for the
+// caller to apply: the outcomes of sub[p] belong in subRes[p], sized by
+// applying it. Gather then copies them back into entry order.
+func (r *Results) Split(b *Batch, parts int, partOf func(key uint64) int) (sub []Batch, subRes []Results) {
+	n := b.Len()
+	r.Reset(n)
+	if len(r.parts) < parts {
+		// Grow all three per-part columns together; they keep the largest
+		// part count seen, and the arenas of the existing parts move over.
+		r.parts = append(r.parts, make([]Batch, parts-len(r.parts))...)
+		r.partRes = append(r.partRes, make([]Results, parts-len(r.partRes))...)
+		r.cursor = make([]int, parts)
+	}
+	sub, subRes, counts := r.parts[:parts], r.partRes[:parts], r.cursor[:parts]
+	if cap(r.route) < n {
+		r.route = make([]uint32, n)
+	}
+	r.route = r.route[:n]
+	route := r.route
+	clear(counts)
+	kinds, keys, vals := b.Kinds(), b.Keys(), b.Vals()
+	for i, k := range keys {
+		p := partOf(k)
+		route[i] = uint32(p)
+		counts[p]++
+	}
+	for p := range sub {
+		sub[p].Reset()
+		sub[p].Grow(counts[p])
+	}
+	for i, p := range route {
+		sub[p].add(kinds[i], keys[i], vals[i])
+	}
+	return sub, subRes
+}
+
+// Gather copies the outcomes of the sub-batches the last Split returned
+// back into entry order, following the route column with one cursor per
+// part: each sub-batch kept entry order, so the j-th entry routed to part
+// p is entry j of sub[p].
+func (r *Results) Gather() {
+	cur := r.cursor
+	clear(cur)
+	for i, p := range r.route {
+		j := cur[p]
+		r.Found[i] = r.partRes[p].Found[j]
+		r.Vals[i] = r.partRes[p].Vals[j]
+		cur[p] = j + 1
+	}
+}
+
+// LookupMissing completes a partly answered GET batch over keys (r sized
+// for it): the entries whose Found is still false are looked up with ONE
+// call to lookup, over their keys compacted into r's working memory, and
+// the outcomes are written back. It returns how many entries it looked
+// up. When no entry is answered yet, lookup runs over keys and r directly.
+func (r *Results) LookupMissing(keys []uint64, lookup func(keys, vals []uint64, found []bool)) int {
+	r.missPos, r.missKeys = r.missPos[:0], r.missKeys[:0]
+	for i, f := range r.Found {
+		if !f {
+			r.missPos = append(r.missPos, uint32(i))
+			r.missKeys = append(r.missKeys, keys[i])
 		}
 	}
+	n := len(r.missPos)
+	switch n {
+	case 0:
+		return 0
+	case len(keys):
+		lookup(keys, r.Vals, r.Found)
+		return n
+	}
+	if r.miss == nil {
+		r.miss = new(Results)
+	}
+	m := r.miss
+	m.Reset(n)
+	lookup(r.missKeys, m.Vals, m.Found)
+	for j, i := range r.missPos {
+		r.Vals[i], r.Found[i] = m.Vals[j], m.Found[j]
+	}
+	return n
 }

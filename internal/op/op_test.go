@@ -183,3 +183,82 @@ func FuzzDecodeAnyPayload(f *testing.F) {
 		}
 	})
 }
+
+// TestResultsResetSizesBothColumns is the regression test for a Results
+// whose columns have different capacities: Reset must size each one, not
+// only the column it happens to check.
+func TestResultsResetSizesBothColumns(t *testing.T) {
+	for _, r := range []Results{
+		{Found: make([]bool, 64)},
+		{Vals: make([]uint64, 64)},
+		{Found: make([]bool, 8), Vals: make([]uint64, 64)},
+	} {
+		r.Found = append(r.Found[:0], true)
+		if cap(r.Vals) > 0 {
+			r.Vals = append(r.Vals[:0], 7)
+		}
+		r.Reset(32)
+		if len(r.Found) != 32 || len(r.Vals) != 32 {
+			t.Fatalf("Reset(32): len(Found)=%d len(Vals)=%d", len(r.Found), len(r.Vals))
+		}
+		for i := range r.Found {
+			if r.Found[i] || r.Vals[i] != 0 {
+				t.Fatalf("Reset(32) left entry %d = (%v, %d)", i, r.Found[i], r.Vals[i])
+			}
+		}
+	}
+}
+
+// TestSplitGatherKeepsEntryOrder routes a mixed batch into parts by key
+// parity and back: every sub-batch must hold its entries in caller order,
+// and Gather must put each part's outcomes back at the entries' positions
+// — across calls that reuse the working memory with another part count.
+func TestSplitGatherKeepsEntryOrder(t *testing.T) {
+	var r Results
+	for _, parts := range []int{3, 1, 4, 2} {
+		var b Batch
+		for i := uint64(0); i < 50; i++ {
+			switch i % 3 {
+			case 0:
+				b.Get(i)
+			case 1:
+				b.Put(i, i*10)
+			default:
+				b.Del(i)
+			}
+		}
+		partOf := func(key uint64) int { return int(key % uint64(parts)) }
+		sub, subRes := r.Split(&b, parts, partOf)
+		if len(sub) != parts || len(subRes) != parts {
+			t.Fatalf("parts=%d: Split returned %d sub-batches, %d results", parts, len(sub), len(subRes))
+		}
+		total := 0
+		for p := range sub {
+			keys := sub[p].Keys()
+			for j, k := range keys {
+				if partOf(k) != p || (j > 0 && keys[j-1] >= k) {
+					t.Fatalf("parts=%d: sub-batch %d out of route or order: %v", parts, p, keys)
+				}
+				if sub[p].Kinds()[j] == Put && sub[p].Vals()[j] != k*10 {
+					t.Fatalf("parts=%d: sub-batch %d lost PUT value of key %d", parts, p, k)
+				}
+			}
+			total += len(keys)
+			// Stand-in for applying the part: echo each key as its value.
+			subRes[p].Reset(len(keys))
+			for j, k := range keys {
+				subRes[p].Found[j], subRes[p].Vals[j] = k%2 == 0, k
+			}
+		}
+		if total != b.Len() {
+			t.Fatalf("parts=%d: sub-batches hold %d entries, batch %d", parts, total, b.Len())
+		}
+		r.Gather()
+		for i, k := range b.Keys() {
+			if r.Vals[i] != k || r.Found[i] != (k%2 == 0) {
+				t.Fatalf("parts=%d: entry %d gathered (%v, %d), want (%v, %d)",
+					parts, i, r.Found[i], r.Vals[i], k%2 == 0, k)
+			}
+		}
+	}
+}

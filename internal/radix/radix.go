@@ -169,20 +169,32 @@ func (m *Map) InsertBatch(keys, values []uint64) error {
 // have length at least len(keys)) and returning per-key presence.
 func (m *Map) LookupBatch(keys []uint64, out []uint64) []bool {
 	ok := make([]bool, len(keys))
-	for i, k := range keys {
-		out[i], ok[i] = m.Get(k)
-	}
+	m.LookupInto(keys, out, ok)
 	return ok
+}
+
+// LookupInto is LookupBatch writing presence into the caller's found
+// column (length at least len(keys)) instead of allocating one.
+func (m *Map) LookupInto(keys, vals []uint64, found []bool) {
+	for i, k := range keys {
+		vals[i], found[i] = m.Get(k)
+	}
 }
 
 // DeleteBatch removes every key, returning per-key presence; semantically
 // a loop of Delete calls with the per-call overhead amortized.
 func (m *Map) DeleteBatch(keys []uint64) []bool {
 	ok := make([]bool, len(keys))
-	for i, k := range keys {
-		ok[i] = m.Delete(k)
-	}
+	m.DeleteInto(keys, ok)
 	return ok
+}
+
+// DeleteInto is DeleteBatch writing presence into the caller's found
+// column (length at least len(keys)) instead of allocating one.
+func (m *Map) DeleteInto(keys []uint64, found []bool) {
+	for i, k := range keys {
+		found[i] = m.Delete(k)
+	}
 }
 
 // Get returns the value stored for key, routed through the shortcut when

@@ -98,7 +98,9 @@ type Stats struct {
 // concurrently with the mapper while the writer is quiescent — the version
 // check, shortcut publication, and retirement of old generations are all
 // race-free. Lookups concurrent with Insert/Delete require external
-// synchronization, exactly as in the original C++ prototype.
+// synchronization, exactly as in the original C++ prototype. The one
+// exception is LookupInto for a caller that discards results a writer
+// overlapped (a seqlock reader): see its doc.
 type Table struct {
 	cfg  Config
 	pool *pool.Pool
@@ -113,6 +115,12 @@ type Table struct {
 	// mapper-owned state
 	sc      *core.Shortcut
 	retired []*core.Shortcut // previous generations, unmapped lazily
+
+	// Reader grace period: LookupInto registers in readers[epoch&1] for
+	// its whole pass, and a retired generation is unmapped only after
+	// waitReaders has drained every pass that began before the call.
+	epoch   atomic.Uint64
+	readers [2]atomic.Int64
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -314,12 +322,15 @@ func (t *Table) applyCreate(r request) error {
 
 	// Retire the previous generation instead of unmapping it immediately:
 	// a concurrent lookup that just passed its version check may still be
-	// dereferencing the old base. By the time two further creates have
-	// happened (two poll intervals at minimum), any such lookup has long
-	// finished; only then is the area reclaimed.
+	// dereferencing the old base. A generation is unmapped two creates
+	// later, and only after waitReaders: creates can follow each other
+	// back to back (one mapper tick, or synchronous maintenance), so the
+	// grace period, not elapsed time, is what keeps a LookupInto that
+	// pinned the old base from reading unmapped memory.
 	if t.sc != nil {
 		t.retired = append(t.retired, t.sc)
 		if len(t.retired) > 2 {
+			t.waitReaders()
 			t.retired[0].Close()
 			t.retired = t.retired[1:]
 		}
@@ -328,6 +339,34 @@ func (t *Table) applyCreate(r request) error {
 	t.creates.Add(1)
 	t.publish(r.version)
 	return nil
+}
+
+// enterRead registers a LookupInto pass in the current grace epoch and
+// returns the counter to release when the pass ends. The epoch is read
+// again after registering, so a pass is always counted under an epoch
+// that a later waitReaders either waits on or that an earlier one
+// already drained.
+func (t *Table) enterRead() *atomic.Int64 {
+	for {
+		e := t.epoch.Load()
+		r := &t.readers[e&1]
+		r.Add(1)
+		if t.epoch.Load() == e {
+			return r
+		}
+		r.Add(-1)
+	}
+}
+
+// waitReaders returns once every LookupInto pass that began before the
+// call has ended. It flips the epoch, so new passes count elsewhere, and
+// waits for the old epoch's count to drain. Callers are serialized (the
+// mapper, or the writer under synchronous maintenance).
+func (t *Table) waitReaders() {
+	r := &t.readers[(t.epoch.Add(1)-1)&1]
+	for r.Load() != 0 {
+		runtime.Gosched()
+	}
 }
 
 func (t *Table) publish(version uint64) {
@@ -393,39 +432,50 @@ func (t *Table) InsertBatch(keys, values []uint64) error {
 // decision — published-state load, version comparison, fan-in check — is
 // made once for the whole batch instead of once per key, which is the
 // per-lookup overhead a batch amortizes. Holding one published state across
-// the batch relies on the table's concurrency model (see the Table doc):
-// the fast path is only entered on a version match, which implies the
-// maintenance queue is drained, and with the writer quiescent — or
-// excluded by external synchronization — for the duration of the call, no
-// create can be enqueued that would retire the pinned shortcut area. A
-// batch racing an unsynchronized writer is undefined, exactly as a single
-// Lookup racing Insert already is.
+// the batch is safe even while creates retire the pinned shortcut area:
+// the pass holds the table's reader grace period (see LookupInto).
 func (t *Table) LookupBatch(keys []uint64, out []uint64) []bool {
 	ok := make([]bool, len(keys))
+	t.LookupInto(keys, out, ok)
+	return ok
+}
+
+// LookupInto is LookupBatch writing presence into the caller's found
+// column (length at least len(keys)) instead of allocating one; the
+// routing decision and the lookup-counter add happen once per call.
+//
+// The pass registers in the table's reader grace period, so the shortcut
+// generation it pinned stays mapped until it returns, however many
+// creates retire it meanwhile. That makes LookupInto the one lookup that
+// may overlap an unsynchronized writer: its results are then
+// meaningless and the caller must discard them (a seqlock reader
+// validates its sequence counter), and a torn read of the traditional
+// directory may panic, which the caller must recover.
+func (t *Table) LookupInto(keys, vals []uint64, found []bool) {
 	if len(keys) == 0 {
-		return ok
+		return
 	}
+	defer t.enterRead().Add(-1)
 	if t.cfg.DisableShortcut || t.cfg.AdaptiveRouting {
 		// Adaptive routing samples per lookup; keep its bookkeeping exact.
 		for i, k := range keys {
-			out[i], ok[i] = t.Lookup(k)
+			vals[i], found[i] = t.Lookup(k)
 		}
-		return ok
+		return
 	}
 	st := t.published.Load()
 	if st != nil && st.version == t.tradVer.Load() && t.loadFanIn() <= t.cfg.FanInThreshold {
 		for i, k := range keys {
 			slot := hashfn.DirIndex(hashfn.Hash(k), st.gd)
-			out[i], ok[i] = bucket.ViewAddr(st.base + uintptr(slot)<<pageShift).Lookup(k)
+			vals[i], found[i] = bucket.ViewAddr(st.base + uintptr(slot)<<pageShift).Lookup(k)
 		}
 		t.scLookups.Add(uint64(len(keys)))
-		return ok
+		return
 	}
 	for i, k := range keys {
-		out[i], ok[i] = t.eh.Lookup(k)
+		vals[i], found[i] = t.eh.Lookup(k)
 	}
 	t.tradLookups.Add(uint64(len(keys)))
-	return ok
 }
 
 // lookupVia answers through the in-sync shortcut directory st.
@@ -490,10 +540,19 @@ func (t *Table) Delete(key uint64) bool {
 // counterpart of InsertBatch, with the merge-vs-plain decision made once
 // for the whole batch instead of once per key.
 func (t *Table) DeleteBatch(keys []uint64) []bool {
+	ok := make([]bool, len(keys))
+	t.DeleteInto(keys, ok)
+	return ok
+}
+
+// DeleteInto is DeleteBatch writing presence into the caller's found
+// column (length at least len(keys)) instead of allocating one.
+func (t *Table) DeleteInto(keys []uint64, found []bool) {
 	if t.cfg.EH.MergeLoadFactor > 0 {
-		return t.eh.DeleteAndMergeBatch(keys)
+		t.eh.DeleteAndMergeInto(keys, found)
+		return
 	}
-	return t.eh.DeleteBatch(keys)
+	t.eh.DeleteInto(keys, found)
 }
 
 // Len returns the number of stored entries.

@@ -454,3 +454,54 @@ func TestMergingRepliesThroughShortcut(t *testing.T) {
 		}
 	}
 }
+
+// TestRetirementWaitsForReaders checks the reader grace period: while a
+// LookupInto pass that began earlier is still in flight, the create that
+// would unmap a retired shortcut generation waits for it. Synchronous
+// maintenance runs creates on the writer, so the writer stalls at that
+// create until the pass ends.
+func TestRetirementWaitsForReaders(t *testing.T) {
+	tbl := newTable(t, Config{Synchronous: true})
+	pass := tbl.enterRead() // a pass pinned to the current generation
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for k := uint64(0); k < 1<<17; k++ {
+			if err := tbl.Insert(k, k+1); err != nil {
+				t.Errorf("Insert(%d): %v", k, err)
+				return
+			}
+		}
+	}()
+	// New made create 1; creates 2 and 3 only retire. Create 4 unmaps
+	// the generation retired first and must wait for the pass.
+	deadline := time.Now().Add(10 * time.Second)
+	for tbl.Stats().CreatesApplied < 3 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	var finished bool
+	select {
+	case <-done:
+		finished = true
+	case <-time.After(50 * time.Millisecond):
+	}
+	during := tbl.Stats().CreatesApplied
+	pass.Add(-1)
+	<-done // the table must outlive the writer, failed or not
+	if finished || during != 3 {
+		t.Fatalf("%d creates applied while a pass that began before the retirements was in flight (writer finished: %v), want 3: the fourth must wait",
+			during, finished)
+	}
+	if tbl.Stats().CreatesApplied <= 3 {
+		t.Fatal("writer made no further create after the pass ended")
+	}
+	keys := []uint64{0, 1, 1 << 16, 1<<17 - 1}
+	vals := make([]uint64, len(keys))
+	found := make([]bool, len(keys))
+	tbl.LookupInto(keys, vals, found)
+	for i, k := range keys {
+		if !found[i] || vals[i] != k+1 {
+			t.Fatalf("LookupInto(%d) = (%d, %v), want (%d, true)", k, vals[i], found[i], k+1)
+		}
+	}
+}

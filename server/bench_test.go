@@ -36,8 +36,8 @@ func (benchConn) Read([]byte) (int, error)        { return 0, io.EOF }
 func (benchConn) Write(p []byte) (int, error)     { return len(p), nil }
 func (benchConn) Close() error                    { return nil }
 
-func newBenchState(b *testing.B, instr bool) *connState {
-	store, err := vmshortcut.Open(vmshortcut.KindShortcutEH)
+func newBenchState(b *testing.B, instr bool, opts ...vmshortcut.Option) *connState {
+	store, err := vmshortcut.Open(vmshortcut.KindShortcutEH, opts...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -98,35 +98,45 @@ func serveOne(b *testing.B, st *connState, tag byte, payload []byte) {
 }
 
 // BenchmarkServe measures per-request serve-path cost with and without
-// instrumentation, for single-op PUT frames and mixed batch frames.
-// Compare allocs/op between the instr=off and instr=on variants: the
-// observability layer must not add any.
+// instrumentation, for single-op PUT frames and mixed batch frames, on an
+// unsharded store and on the served two-shard configuration. Compare
+// allocs/op between the instr=off and instr=on variants: the
+// observability layer must not add any. Both store variants run at
+// 0 allocs/op: the sharded store keeps its split working memory in the
+// connection's reused results.
 func BenchmarkServe(b *testing.B) {
 	var putPayload [16]byte
 	mixed := buildMixedFrame(b)
-	for _, mode := range []struct {
-		name  string
-		instr bool
-	}{{"instr=off", false}, {"instr=on", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.Run("put", func(b *testing.B) {
-				st := newBenchState(b, mode.instr)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					binary.LittleEndian.PutUint64(putPayload[:], uint64(i)%4096)
-					binary.LittleEndian.PutUint64(putPayload[8:], uint64(i))
-					serveOne(b, st, wire.OpPut, putPayload[:])
-				}
-			})
-			b.Run("mixedbatch32", func(b *testing.B) {
-				st := newBenchState(b, mode.instr)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					serveOne(b, st, wire.OpMixedBatch, mixed)
-				}
-			})
+	for _, store := range []struct {
+		name string
+		opts []vmshortcut.Option
+	}{{"unsharded", nil}, {"shards=2", []vmshortcut.Option{vmshortcut.WithShards(2)}}} {
+		b.Run(store.name, func(b *testing.B) {
+			for _, mode := range []struct {
+				name  string
+				instr bool
+			}{{"instr=off", false}, {"instr=on", true}} {
+				b.Run(mode.name, func(b *testing.B) {
+					b.Run("put", func(b *testing.B) {
+						st := newBenchState(b, mode.instr, store.opts...)
+						b.ReportAllocs()
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							binary.LittleEndian.PutUint64(putPayload[:], uint64(i)%4096)
+							binary.LittleEndian.PutUint64(putPayload[8:], uint64(i))
+							serveOne(b, st, wire.OpPut, putPayload[:])
+						}
+					})
+					b.Run("mixedbatch32", func(b *testing.B) {
+						st := newBenchState(b, mode.instr, store.opts...)
+						b.ReportAllocs()
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							serveOne(b, st, wire.OpMixedBatch, mixed)
+						}
+					})
+				})
+			}
 		})
 	}
 }

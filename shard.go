@@ -112,64 +112,121 @@ func (s *sharded) Len() int {
 	return total
 }
 
-// split partitions keys by shard in two passes: count, then scatter. All
-// sub-batches are slices of two flat backing arrays laid out in shard
-// order, so the allocation count is constant in the shard count — no
-// append growth, no per-shard make. pos records each key's original
-// position so batch lookups can gather results back in caller order;
-// counts feeds fanOut.
-func (s *sharded) split(keys []uint64) (byShard [][]uint64, pos [][]int, counts []int) {
-	n := len(s.shards)
-	counts = make([]int, n)
-	route := make([]uint32, len(keys))
-	for i, k := range keys {
-		sh := s.shardOf(k)
-		route[i] = uint32(sh)
-		counts[sh]++
+// InsertBatch upserts the pairs through the same per-shard split as
+// ApplyBatch, so each shard's index sees one contiguous batch (Shortcut-EH
+// makes its routing decision once per sub-batch). The first error in
+// shard order is returned; the other sub-batches still run to completion.
+func (s *sharded) InsertBatch(keys, values []uint64) error {
+	if len(keys) != len(values) {
+		return fmt.Errorf("vmshortcut: InsertBatch: %d keys but %d values", len(keys), len(values))
 	}
-	flatK := make([]uint64, len(keys))
-	flatP := make([]int, len(keys))
-	byShard = make([][]uint64, n)
-	pos = make([][]int, n)
-	off := 0
-	for sh, c := range counts {
-		byShard[sh] = flatK[off : off : off+c]
-		pos[sh] = flatP[off : off : off+c]
-		off += c
-	}
-	for i, k := range keys {
-		sh := route[i]
-		byShard[sh] = append(byShard[sh], k)
-		pos[sh] = append(pos[sh], i)
-	}
-	return byShard, pos, counts
+	s.insertBatches.Add(1)
+	w, err := s.applyKeys(op.Put, keys, values)
+	keysScratch.Put(w)
+	return err
 }
 
-// fanOut runs fn for every shard whose sub-batch is non-empty (per
-// counts). Small batches (or a batch that routed entirely to one shard)
-// run on the calling goroutine; otherwise one goroutine is spawned per
-// additional shard and the first hit shard runs on the caller — the
-// caller would only block on wg.Wait anyway, so this saves one spawn per
-// batch.
-func (s *sharded) fanOut(counts []int, total int, fn func(sh int)) {
-	hit := 0
-	for _, c := range counts {
-		if c > 0 {
-			hit++
+// LookupBatch looks the keys up through the same per-shard split as
+// ApplyBatch, writing values into out and returning presence.
+func (s *sharded) LookupBatch(keys []uint64, out []uint64) []bool {
+	s.lookupBatches.Add(1)
+	found := make([]bool, len(keys))
+	w, _ := s.applyKeys(op.Get, keys, nil)
+	copy(out, w.res.Vals)
+	copy(found, w.res.Found)
+	keysScratch.Put(w)
+	return found
+}
+
+// DeleteBatch removes the keys through the same per-shard split as
+// ApplyBatch and returns per-key presence in caller order.
+func (s *sharded) DeleteBatch(keys []uint64) []bool {
+	s.deleteBatches.Add(1)
+	found := make([]bool, len(keys))
+	w, _ := s.applyKeys(op.Del, keys, nil)
+	copy(found, w.res.Found)
+	keysScratch.Put(w)
+	return found
+}
+
+// keysWork is the batch and results the slice-based helpers above apply
+// through. Unlike ApplyBatch they have no caller-owned OpResults to keep
+// the split's working memory in, so it is pooled instead of rebuilt per
+// call.
+type keysWork struct {
+	b   op.Batch
+	res op.Results
+}
+
+var keysScratch = sync.Pool{New: func() any { return new(keysWork) }}
+
+// applyKeys runs a same-kind key set as one batch through apply; values
+// is read only for op.Put. The caller reads the outcomes from the
+// returned work and then puts it back into keysScratch.
+func (s *sharded) applyKeys(k op.Kind, keys, values []uint64) (*keysWork, error) {
+	w := keysScratch.Get().(*keysWork)
+	w.b.Reset()
+	w.b.Grow(len(keys))
+	for i, key := range keys {
+		var v uint64
+		if k == op.Put {
+			v = values[i]
 		}
+		w.b.Add(k, key, v)
 	}
-	if hit <= 1 || total < shardFanOutMin {
-		for sh, c := range counts {
-			if c > 0 {
-				fn(sh)
+	return w, s.apply(&w.b, &w.res)
+}
+
+// ApplyBatch applies a mixed batch through the one per-shard split. The
+// batch counters count the caller-facing batch's same-kind runs once,
+// like the other batch paths; the per-shard sub-batches are not double
+// counted.
+func (s *sharded) ApplyBatch(b *op.Batch, res *op.Results) error {
+	runs := op.CountRuns(b.Kinds())
+	s.lookupBatches.Add(runs[op.Get])
+	s.insertBatches.Add(runs[op.Put])
+	s.deleteBatches.Add(runs[op.Del])
+	return s.apply(b, res)
+}
+
+// apply splits b across the shards in ONE pass — each entry is routed by
+// its key, so the per-key operation order of the caller's batch is
+// preserved inside the owning shard's sub-batch — applies every non-empty
+// sub-batch, and gathers the per-entry outcomes back into caller order.
+// All working memory (route column, sub-batches, their results) is res's,
+// so a caller reusing res allocates nothing. Batches below shardFanOutMin
+// run the shards inline on the calling goroutine; larger ones fan out.
+// The first shard error (in shard order) fails the whole batch, per the
+// ApplyBatch unit-failure contract; the other sub-batches still run.
+func (s *sharded) apply(b *op.Batch, res *op.Results) error {
+	sub, subRes := res.Split(b, len(s.shards), s.shardOf)
+	var err error
+	if b.Len() < shardFanOutMin {
+		for sh := range sub {
+			if sub[sh].Len() == 0 {
+				continue
+			}
+			if e := s.shards[sh].ApplyBatch(&sub[sh], &subRes[sh]); e != nil && err == nil {
+				err = e
 			}
 		}
-		return
+	} else {
+		err = s.fanOut(sub, subRes)
 	}
+	res.Gather()
+	return err
+}
+
+// fanOut applies the non-empty sub-batches in parallel: one goroutine per
+// additional shard, while the first non-empty shard runs on the caller —
+// the caller would only block on wg.Wait anyway, so this saves one spawn
+// per batch. It returns the first error in shard order.
+func (s *sharded) fanOut(sub []op.Batch, subRes []op.Results) error {
+	errs := make([]error, len(sub))
 	var wg sync.WaitGroup
 	inline := -1
-	for sh, c := range counts {
-		if c == 0 {
+	for sh := range sub {
+		if sub[sh].Len() == 0 {
 			continue
 		}
 		if inline < 0 {
@@ -179,143 +236,13 @@ func (s *sharded) fanOut(counts []int, total int, fn func(sh int)) {
 		wg.Add(1)
 		go func(sh int) {
 			defer wg.Done()
-			fn(sh)
+			errs[sh] = s.shards[sh].ApplyBatch(&sub[sh], &subRes[sh])
 		}(sh)
 	}
-	fn(inline)
+	if inline >= 0 {
+		errs[inline] = s.shards[inline].ApplyBatch(&sub[inline], &subRes[inline])
+	}
 	wg.Wait()
-}
-
-// InsertBatch splits the batch by shard and upserts the sub-batches in
-// parallel, one goroutine per hit shard, so each shard's index sees one
-// contiguous batch (Shortcut-EH makes its routing decision once per
-// sub-batch). The first error in shard order is returned; the other
-// sub-batches still run to completion.
-func (s *sharded) InsertBatch(keys, values []uint64) error {
-	if len(keys) != len(values) {
-		return fmt.Errorf("vmshortcut: InsertBatch: %d keys but %d values", len(keys), len(values))
-	}
-	s.insertBatches.Add(1)
-	byShard, pos, counts := s.split(keys)
-	flatV := make([]uint64, len(keys))
-	valsByShard := make([][]uint64, len(s.shards))
-	off := 0
-	for sh, ps := range pos {
-		vs := flatV[off : off+len(ps)]
-		for j, i := range ps {
-			vs[j] = values[i]
-		}
-		valsByShard[sh] = vs
-		off += len(ps)
-	}
-	errs := make([]error, len(s.shards))
-	s.fanOut(counts, len(keys), func(sh int) {
-		errs[sh] = s.shards[sh].InsertBatch(byShard[sh], valsByShard[sh])
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LookupBatch splits the probe set by shard, looks the sub-batches up in
-// parallel, and gathers values and presence back into caller order. Each
-// goroutine writes only its own shard's disjoint positions of out and the
-// result slice, so no synchronization beyond the final join is needed.
-func (s *sharded) LookupBatch(keys []uint64, out []uint64) []bool {
-	s.lookupBatches.Add(1)
-	oks := make([]bool, len(keys))
-	byShard, pos, counts := s.split(keys)
-	flatOut := make([]uint64, len(keys)) // sliced per shard; ranges disjoint
-	subOuts := make([][]uint64, len(s.shards))
-	off := 0
-	for sh, ks := range byShard {
-		subOuts[sh] = flatOut[off : off+len(ks)]
-		off += len(ks)
-	}
-	s.fanOut(counts, len(keys), func(sh int) {
-		subOks := s.shards[sh].LookupBatch(byShard[sh], subOuts[sh])
-		for j, i := range pos[sh] {
-			out[i] = subOuts[sh][j]
-			oks[i] = subOks[j]
-		}
-	})
-	return oks
-}
-
-// DeleteBatch splits the keys by shard, deletes the sub-batches in
-// parallel, and gathers per-key presence back into caller order — the
-// delete counterpart of LookupBatch, with the same disjoint-write
-// guarantee: each goroutine writes only its own shard's positions.
-func (s *sharded) DeleteBatch(keys []uint64) []bool {
-	s.deleteBatches.Add(1)
-	oks := make([]bool, len(keys))
-	byShard, pos, counts := s.split(keys)
-	s.fanOut(counts, len(keys), func(sh int) {
-		subOks := s.shards[sh].DeleteBatch(byShard[sh])
-		for j, i := range pos[sh] {
-			oks[i] = subOks[j]
-		}
-	})
-	return oks
-}
-
-// ApplyBatch splits a mixed batch across the shards in ONE pass — each
-// entry is routed by its key, so the per-key operation order of the
-// caller's batch is preserved inside the owning shard's sub-batch — fans
-// the per-shard sub-batches out in parallel, and gathers the per-entry
-// outcomes back into caller order. The batch counters count the
-// caller-facing batch's same-kind runs once, like the other batch paths;
-// the per-shard sub-batches are not double counted. The first shard
-// error (in shard order) fails the whole batch, per the ApplyBatch
-// unit-failure contract.
-func (s *sharded) ApplyBatch(b *op.Batch, res *op.Results) error {
-	n := b.Len()
-	res.Reset(n)
-	if n == 0 {
-		return nil
-	}
-	kinds, keys, vals := b.Kinds(), b.Keys(), b.Vals()
-	ns := len(s.shards)
-	counts := make([]int, ns)
-	route := make([]uint32, n)
-	for i, k := range keys {
-		sh := s.shardOf(k)
-		route[i] = uint32(sh)
-		counts[sh]++
-	}
-	sub := make([]op.Batch, ns)
-	flatP := make([]int, n)
-	pos := make([][]int, ns)
-	off := 0
-	for sh, c := range counts {
-		sub[sh].Grow(c)
-		pos[sh] = flatP[off : off : off+c]
-		off += c
-	}
-	for i, k := range keys {
-		sh := route[i]
-		sub[sh].Add(kinds[i], k, vals[i])
-		pos[sh] = append(pos[sh], i)
-	}
-	runs := op.CountRuns(kinds)
-	s.lookupBatches.Add(runs[op.Get])
-	s.insertBatches.Add(runs[op.Put])
-	s.deleteBatches.Add(runs[op.Del])
-
-	subRes := make([]op.Results, ns)
-	errs := make([]error, ns)
-	s.fanOut(counts, n, func(sh int) {
-		errs[sh] = s.shards[sh].ApplyBatch(&sub[sh], &subRes[sh])
-	})
-	for sh := range pos {
-		for j, i := range pos[sh] {
-			res.Found[i] = subRes[sh].Found[j]
-			res.Vals[i] = subRes[sh].Vals[j]
-		}
-	}
 	for _, err := range errs {
 		if err != nil {
 			return err

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"vmshortcut/internal/hashfn"
+	"vmshortcut/internal/op"
 )
 
 // openShardedSCEH opens a sharded Shortcut-EH store with a fast mapper
@@ -476,5 +477,300 @@ func TestWithShardsValidation(t *testing.T) {
 	defer m.Close()
 	if _, ok := AsShortcutEH(m); ok {
 		t.Fatal("AsShortcutEH must report false for a sharded store")
+	}
+}
+
+// modelBatch appends a seeded mix of n entries over a small keyspace to
+// b. A quarter of the time it emits PUT→GET→DEL→GET on one key, so a
+// batch repeats keys and the outcome depends on per-key order surviving
+// the shard split.
+func modelBatch(b *OpBatch, rng *uint64, n int) {
+	b.Reset()
+	next := func() uint64 {
+		*rng = *rng*6364136223846793005 + 1442695040888963407
+		return *rng >> 11
+	}
+	for b.Len() < n {
+		r := next()
+		key := r % 512
+		switch {
+		case r>>50&3 == 0 && n-b.Len() >= 4:
+			b.Put(key, r)
+			b.Get(key)
+			b.Del(key)
+			b.Get(key)
+		case r>>52&3 == 0:
+			b.Del(key)
+		case r>>52&1 == 0:
+			b.Put(key, r)
+		default:
+			b.Get(key)
+		}
+	}
+}
+
+// checkModel applies b's entries to the map model and compares every
+// outcome the store reported in res.
+func checkModel(t *testing.T, b *OpBatch, res *OpResults, model map[uint64]uint64) {
+	t.Helper()
+	if len(res.Found) != b.Len() || len(res.Vals) != b.Len() {
+		t.Fatalf("results sized (%d, %d) for a %d-entry batch", len(res.Found), len(res.Vals), b.Len())
+	}
+	kinds, keys, vals := b.Kinds(), b.Keys(), b.Vals()
+	for i, k := range keys {
+		var found bool
+		var val uint64
+		switch kinds[i] {
+		case op.Put:
+			model[k] = vals[i]
+			found = true
+		case op.Get:
+			val, found = model[k]
+		case op.Del:
+			_, found = model[k]
+			delete(model, k)
+		}
+		if res.Found[i] != found || res.Vals[i] != val {
+			t.Fatalf("entry %d (%v %d) = (%v, %d), model (%v, %d)",
+				i, kinds[i], k, res.Found[i], res.Vals[i], found, val)
+		}
+	}
+}
+
+// TestShardedApplyBatchMatchesModel is the differential check of the
+// sharded ApplyBatch against a map: seeded mixed batches on both sides of
+// shardFanOutMin, at 1, 2 and 4 shards and behind the WAL. ONE OpResults
+// carries every call — across sizes, shard counts and stores — so any
+// stale split scratch (route column, sub-batches, sub-results) shows up
+// as a wrong outcome. A closed store must still answer every entry.
+func TestShardedApplyBatchMatchesModel(t *testing.T) {
+	var res OpResults
+	for _, c := range []struct {
+		name string
+		opts []Option
+	}{
+		{"shards=1", []Option{WithShards(1), WithConcurrency(true)}},
+		{"shards=2", []Option{WithShards(2)}},
+		{"shards=4", []Option{WithShards(4)}},
+		{"shards=2+wal", []Option{WithShards(2), WithWAL(t.TempDir()), WithFsync(FsyncOff)}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := Open(KindShortcutEH, append(c.opts, WithPollInterval(time.Millisecond))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			model := map[uint64]uint64{}
+			rng := uint64(0x5EED)
+			var b OpBatch
+			for round := 0; round < 4; round++ {
+				for _, n := range []int{1, 32, 127, 128, 300} {
+					modelBatch(&b, &rng, n)
+					if err := s.ApplyBatch(&b, &res); err != nil {
+						t.Fatalf("round %d, %d entries: %v", round, n, err)
+					}
+					checkModel(t, &b, &res, model)
+				}
+			}
+			if s.Len() != len(model) {
+				t.Fatalf("Len %d, model %d", s.Len(), len(model))
+			}
+			for k, want := range model {
+				if got, ok := s.Lookup(k); !ok || got != want {
+					t.Fatalf("Lookup(%d) = (%d, %v), model %d", k, got, ok, want)
+				}
+			}
+
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range []int{32, 300} {
+				modelBatch(&b, &rng, n)
+				if err := s.ApplyBatch(&b, &res); !errors.Is(err, ErrClosed) {
+					t.Fatalf("closed ApplyBatch(%d entries) = %v, want ErrClosed", n, err)
+				}
+				if len(res.Found) != n || len(res.Vals) != n {
+					t.Fatalf("closed ApplyBatch sized results (%d, %d), want %d", len(res.Found), len(res.Vals), n)
+				}
+				for i := range res.Found {
+					if res.Found[i] || res.Vals[i] != 0 {
+						t.Fatalf("closed ApplyBatch entry %d = (%v, %d)", i, res.Found[i], res.Vals[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestShardedApplyBatchDoesNotAllocate pins the served configuration's
+// allocation budget: with a reused OpResults, a 32-GET and a mixed-32
+// ApplyBatch on a two-shard store allocate nothing — the split's working
+// memory lives in the OpResults, and the shards run inline below
+// shardFanOutMin.
+func TestShardedApplyBatchDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	s := openShardedSCEH(t, 2)
+	for k := uint64(0); k < 4096; k++ {
+		if err := s.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !s.WaitSync(time.Minute) {
+		t.Fatal("shards never synced")
+	}
+	var gets, mixed OpBatch
+	for k := uint64(0); k < 32; k++ {
+		gets.Get(k * 97)
+		if k%2 == 0 {
+			mixed.Get(k * 89)
+		} else {
+			mixed.Put(k*89, k) // updates: no bucket split, no remap
+		}
+	}
+	var res OpResults
+	for _, c := range []struct {
+		name string
+		b    *OpBatch
+	}{{"get32", &gets}, {"mixed32", &mixed}} {
+		if n := testing.AllocsPerRun(200, func() {
+			if err := s.ApplyBatch(c.b, &res); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("shards=2 %s ApplyBatch allocates %.1f times per call, want 0", c.name, n)
+		}
+	}
+
+	// With the read cache, resident keys are answered from it and the
+	// rest (here the absent ones, which never become resident) are
+	// looked up in one compacted pass inside res.
+	cached := openShardedSCEH(t, 2, WithReadCache(true))
+	var partial OpBatch
+	for k := uint64(0); k < 16; k++ {
+		if err := cached.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+		partial.Get(k)
+		partial.Get(1<<20 + k)
+	}
+	for i := 0; i < 4; i++ { // admit the present keys
+		if err := cached.ApplyBatch(&partial, &res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := cached.Stats()
+	if n := testing.AllocsPerRun(200, func() {
+		if err := cached.ApplyBatch(&partial, &res); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("shards=2 read-cache partial32 ApplyBatch allocates %.1f times per call, want 0", n)
+	}
+	if st := cached.Stats(); st.FastpathCacheReads == before.FastpathCacheReads {
+		t.Errorf("partial32 batches never hit the read cache: %+v", st)
+	}
+}
+
+// TestApplyRunsDoesNotAllocate checks that the GET and DEL runs of every
+// kind write straight into the caller's OpResults: a multi-entry run goes
+// through the kernel's LookupInto/DeleteInto, which allocate nothing.
+func TestApplyRunsDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, kind := range Kinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			s, err := Open(kind, WithCapacity(1<<14))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			for k := uint64(0); k < 1024; k++ {
+				if err := s.Insert(k, k+1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			idx := s.(*store).idx
+			var gets, dels OpBatch
+			for k := uint64(0); k < 32; k++ {
+				gets.Get(k * 7)
+				dels.Del(2048 + k) // absent: the run stays repeatable
+			}
+			var res OpResults
+			for _, c := range []struct {
+				name string
+				b    *OpBatch
+			}{{"get", &gets}, {"del", &dels}} {
+				if n := testing.AllocsPerRun(100, func() {
+					if _, err := applyRuns(idx, c.b, &res); err != nil {
+						t.Fatal(err)
+					}
+				}); n != 0 {
+					t.Errorf("%s run allocates %.1f times per call, want 0", c.name, n)
+				}
+			}
+			if _, err := applyRuns(idx, &gets, &res); err != nil {
+				t.Fatal(err)
+			}
+			for i, k := range gets.Keys() {
+				if !res.Found[i] || res.Vals[i] != k+1 {
+					t.Fatalf("GET %d = (%d, %v), want (%d, true)", k, res.Vals[i], res.Found[i], k+1)
+				}
+			}
+		})
+	}
+}
+
+// TestShardedSliceHelpersConcurrent drives the slice-based batch helpers
+// from several goroutines at once, on both sides of shardFanOutMin. They
+// share pooled working memory, so a result handed out while another call
+// reuses it shows up as a wrong value or presence flag.
+func TestShardedSliceHelpersConcurrent(t *testing.T) {
+	s := openShardedSCEH(t, 2)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round, n := range []int{3, 40, 200, 17, 130, 64} {
+				base := uint64(w)<<32 | uint64(round)<<16
+				keys := make([]uint64, n)
+				vals := make([]uint64, n)
+				for i := range keys {
+					keys[i] = base + uint64(i)
+					vals[i] = keys[i] * 3
+				}
+				if err := s.InsertBatch(keys, vals); err != nil {
+					t.Errorf("worker %d: InsertBatch: %v", w, err)
+					return
+				}
+				out := make([]uint64, n)
+				for i, ok := range s.LookupBatch(keys, out) {
+					if !ok || out[i] != vals[i] {
+						t.Errorf("worker %d: LookupBatch key %d = (%d, %v), want (%d, true)", w, keys[i], out[i], ok, vals[i])
+						return
+					}
+				}
+				half := keys[:n/2]
+				for i, ok := range s.DeleteBatch(keys) {
+					if !ok {
+						t.Errorf("worker %d: DeleteBatch key %d reported absent", w, keys[i])
+						return
+					}
+				}
+				for i, ok := range s.DeleteBatch(half) {
+					if ok {
+						t.Errorf("worker %d: second DeleteBatch key %d reported present", w, half[i])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := s.Len(); got != 0 {
+		t.Fatalf("Len = %d after every key was deleted", got)
 	}
 }

@@ -29,6 +29,9 @@ type OpBatch = op.Batch
 
 // OpResults holds per-entry outcomes of an applied OpBatch
 // (internal/op.Results): Found per entry, plus the value for GET hits.
+// It also carries a sharded store's per-call working memory, reused
+// across calls: keep one per caller (the server keeps one per
+// connection) and never share one between concurrent ApplyBatch calls.
 type OpResults = op.Results
 
 // Kind selects the index implementation behind Open.
@@ -114,7 +117,8 @@ type Store interface {
 	// through the native batch paths, so a uniform batch is exactly an
 	// InsertBatch/LookupBatch/DeleteBatch — and counts in the same Stats
 	// counters), a concurrent store takes its lock once for the whole
-	// batch, a sharded store splits the batch per shard in one pass, and
+	// batch, a sharded store splits the batch per shard in one pass —
+	// inside res's working memory, so a reused res allocates nothing — and
 	// a durable store appends ONE log record for the whole batch,
 	// zero-copy from the batch's wire payload.
 	//
@@ -440,9 +444,10 @@ func WithSeqlockRetryHist(h *obs.Hist) Option {
 // each with its own lock stripe and (unless WithPool injects a shared one)
 // its own page pool, so writers to different shards proceed in parallel
 // instead of serializing on WithConcurrency's single lock. Single
-// operations route by key hash; InsertBatch/LookupBatch split the batch by
-// shard and fan the per-shard sub-batches out across goroutines, so
-// Shortcut-EH's once-per-batch routing decision is preserved per shard.
+// operations route by key hash; every batch path splits the batch by shard
+// in one pass and runs the per-shard sub-batches inline (small batches) or
+// across goroutines, so Shortcut-EH's once-per-batch routing decision is
+// preserved per shard.
 // Stats aggregates across shards, WaitSync and Close fan out and drain.
 //
 // n > 1 implies WithConcurrency: the sharded store is always safe for
@@ -480,12 +485,14 @@ func zeroFound(n int) []bool {
 }
 
 // batchIndex is the contract every internal index implementation satisfies
-// natively; the store wrapper adds lifecycle and observability on top.
+// natively; the store wrapper adds lifecycle and observability on top. The
+// batch reads and deletes write their outcomes into caller-owned columns,
+// so a batch applied into a reused OpResults allocates nothing.
 type batchIndex interface {
 	Index
 	InsertBatch(keys, values []uint64) error
-	LookupBatch(keys []uint64, out []uint64) []bool
-	DeleteBatch(keys []uint64) []bool
+	LookupInto(keys, vals []uint64, found []bool)
+	DeleteInto(keys []uint64, found []bool)
 	Range(fn func(key, value uint64) bool)
 }
 
@@ -513,7 +520,7 @@ func applyRuns(idx batchIndex, b *op.Batch, res *op.Results) (runs [3]uint64, fi
 			if j-i == 1 {
 				res.Vals[i], res.Found[i] = idx.Lookup(keys[i])
 			} else {
-				copy(res.Found[i:j], idx.LookupBatch(keys[i:j], res.Vals[i:j]))
+				idx.LookupInto(keys[i:j], res.Vals[i:j], res.Found[i:j])
 			}
 		case op.Put:
 			var err error
@@ -535,7 +542,7 @@ func applyRuns(idx batchIndex, b *op.Batch, res *op.Results) (runs [3]uint64, fi
 			if j-i == 1 {
 				res.Found[i] = idx.Delete(keys[i])
 			} else {
-				copy(res.Found[i:j], idx.DeleteBatch(keys[i:j]))
+				idx.DeleteInto(keys[i:j], res.Found[i:j])
 			}
 		}
 		i = j
@@ -854,7 +861,7 @@ type mergingEH struct{ *eh.Table }
 
 func (m mergingEH) Delete(key uint64) bool { return m.Table.DeleteAndMerge(key) }
 
-func (m mergingEH) DeleteBatch(keys []uint64) []bool { return m.Table.DeleteAndMergeBatch(keys) }
+func (m mergingEH) DeleteInto(keys []uint64, found []bool) { m.Table.DeleteAndMergeInto(keys, found) }
 
 // lockedIndex serializes a batchIndex for WithConcurrency. Reads take the
 // shared lock unless the implementation mutates on read (KindHTI's
@@ -1013,33 +1020,36 @@ func (l *lockedIndex) InsertBatch(keys, values []uint64) error {
 	return l.idx.InsertBatch(keys, values)
 }
 
-func (l *lockedIndex) LookupBatch(keys []uint64, out []uint64) []bool {
+func (l *lockedIndex) LookupInto(keys, vals []uint64, found []bool) {
 	l.rlock()
 	defer l.runlock()
 	if l.closed {
-		return zeroFound(len(keys))
+		clear(found[:len(keys)])
+		return
 	}
-	return l.idx.LookupBatch(keys, out)
+	l.idx.LookupInto(keys, vals, found)
 }
 
-func (l *lockedIndex) DeleteBatch(keys []uint64) []bool {
+func (l *lockedIndex) DeleteInto(keys []uint64, found []bool) {
 	l.beginWrite()
 	defer l.endWrite()
 	if l.closed {
-		return zeroFound(len(keys))
+		clear(found[:len(keys)])
+		return
 	}
-	return l.idx.DeleteBatch(keys)
+	l.idx.DeleteInto(keys, found)
 }
 
 // applyBatch executes a mixed batch under ONE lock acquisition — the
 // write lock when the batch mutates (or reads migrate, KindHTI), the
 // read lock for a pure-GET batch — so a coalesced pipeline round pays
-// one lock, not one per kind switch. A pure-GET batch first attempts
-// the two-level lock-free fast path (hot-key cache, then a
-// seqlock-validated optimistic pass) and only falls back here.
+// one lock, not one per kind switch. A pure-GET batch of up to
+// seqlockMaxKeys entries first attempts the two-level lock-free fast
+// path (hot-key cache, then a seqlock-validated optimistic pass) and only
+// falls back here.
 func (l *lockedIndex) applyBatch(b *op.Batch, res *op.Results) ([3]uint64, error) {
 	pureGet := b.Mutations() == 0 && !l.readMutates
-	if pureGet && b.Len() > 0 {
+	if pureGet && b.Len() > 0 && b.Len() <= seqlockMaxKeys {
 		if l.fastGets(b, res) {
 			return op.CountRuns(b.Kinds()), nil
 		}
@@ -1077,19 +1087,26 @@ func (l *lockedIndex) applyBatch(b *op.Batch, res *op.Results) ([3]uint64, error
 	return runs, err
 }
 
-// fastGets serves a pure-GET batch without taking the lock. Level 2
-// first: when every key of the batch is resident in the hot-key cache
-// at the current sequence stamp, the batch is answered from atomics
-// alone. Level 1 otherwise: on read-safe kinds (plain builds — the race
-// detector would flag the unsynchronized reads, so -race builds skip
-// it) an optimistic pass reads the index lock-free and is kept only if
-// the sequence counter says no writer overlapped it; after
+// fastGets serves a pure-GET batch without taking the lock. On read-safe
+// kinds (plain builds — the race detector would flag the unsynchronized
+// reads, so -race builds skip it) an optimistic pass answers each key
+// from the hot-key cache when it is resident at the current sequence
+// stamp and reads the rest from the index lock-free; the pass is kept
+// only if the sequence counter says no writer overlapped it, and after
 // seqlockRetries failed validations the caller falls back to the lock.
+// Elsewhere only the cache level runs, and only for a batch whose every
+// key is resident.
 func (l *lockedIndex) fastGets(b *op.Batch, res *op.Results) bool {
 	keys := b.Keys()
 	if !raceEnabled && l.readSafe {
 		return l.seqlockGets(keys, res)
 	}
+	return l.cacheGets(keys, res)
+}
+
+// cacheGets answers the batch from the hot-key cache when it holds every
+// key at one sequence stamp.
+func (l *lockedIndex) cacheGets(keys []uint64, res *op.Results) bool {
 	c := l.cache
 	if c == nil {
 		return false
@@ -1116,6 +1133,11 @@ func (l *lockedIndex) fastGets(b *op.Batch, res *op.Results) bool {
 // seqlockRetries is how many discarded optimistic passes a pure-GET
 // batch tolerates before giving up and taking the read lock.
 const seqlockRetries = 3
+
+// seqlockMaxKeys bounds the batches the lock-free fast path takes: a
+// longer pass is likely to overlap a write and be discarded, so a bulk
+// lookup takes the read lock at once.
+const seqlockMaxKeys = 1024
 
 func (l *lockedIndex) seqlockGets(keys []uint64, res *op.Results) bool {
 	// Register before the closed check: close() sets closedA, then waits
@@ -1157,12 +1179,23 @@ func (l *lockedIndex) seqlockGets(keys []uint64, res *op.Results) bool {
 	return false
 }
 
-// optimisticPass reads each key — hot-key cache first, underlying index
-// second — without any lock, protected only by the caller's seqlock
+// optimisticPass answers each key it finds in the hot-key cache at stamp
+// s and looks the rest up with ONE kernel batch call — one routing
+// decision and one lookup-counter add, as the paper's batch path makes
+// them — without any lock, protected only by the caller's seqlock
 // validation. A writer racing the pass can expose a mid-rebuild index
 // (a grown table's slices mid-swap), so an out-of-range panic from a
 // torn read is absorbed and reported as !ok; the caller discards the
 // results either way, because the sequence counter has moved.
+//
+// Pinning one routing state across the pass is safe for Shortcut-EH
+// even with a writer racing it: LookupInto reads the published shortcut
+// directory once and holds the table's reader grace period until it
+// returns, and the mapper unmaps a retired directory generation only
+// after that grace period has drained (sceh applyCreate). A pass that
+// read a retired generation therefore read mapped memory, and the write
+// that retired it moved the sequence counter, so the result is
+// discarded.
 func (l *lockedIndex) optimisticPass(keys []uint64, res *op.Results, s uint64) (hits int, ok bool) {
 	defer func() {
 		if recover() != nil {
@@ -1171,17 +1204,16 @@ func (l *lockedIndex) optimisticPass(keys []uint64, res *op.Results, s uint64) (
 	}()
 	res.Reset(len(keys))
 	c := l.cache
-	for i, k := range keys {
-		if c != nil {
-			if v, hit := c.probe(k, s); hit {
-				res.Vals[i], res.Found[i] = v, true
-				hits++
-				continue
-			}
-		}
-		res.Vals[i], res.Found[i] = l.idx.Lookup(k)
+	if c == nil {
+		l.idx.LookupInto(keys, res.Vals, res.Found)
+		return 0, true
 	}
-	return hits, true
+	for i, k := range keys {
+		if v, hit := c.probe(k, s); hit {
+			res.Vals[i], res.Found[i] = v, true
+		}
+	}
+	return len(keys) - res.LookupMissing(keys, l.idx.LookupInto), true
 }
 
 func (l *lockedIndex) Range(fn func(key, value uint64) bool) {
@@ -1259,7 +1291,9 @@ func (s *store) LookupBatch(keys []uint64, out []uint64) []bool {
 		return zeroFound(len(keys))
 	}
 	s.lookupBatches.Add(1)
-	return s.idx.LookupBatch(keys, out)
+	found := make([]bool, len(keys))
+	s.idx.LookupInto(keys, out, found)
+	return found
 }
 
 func (s *store) DeleteBatch(keys []uint64) []bool {
@@ -1267,7 +1301,9 @@ func (s *store) DeleteBatch(keys []uint64) []bool {
 		return zeroFound(len(keys))
 	}
 	s.deleteBatches.Add(1)
-	return s.idx.DeleteBatch(keys)
+	found := make([]bool, len(keys))
+	s.idx.DeleteInto(keys, found)
+	return found
 }
 
 func (s *store) ApplyBatch(b *op.Batch, res *op.Results) error {
