@@ -55,7 +55,6 @@ func main() {
 	// Serving flags.
 	addr := flag.String("addr", ":6380", "listen address")
 	batchWindow := flag.Duration("batch-window", 0, "how long the per-connection coalescer waits for more pipelined requests before executing a batch (0 = only coalesce what is already buffered)")
-	batchWindowAdaptive := flag.Bool("batch-window-adaptive", false, "retune each connection's coalescing window from its wait outcomes: the window widens (up to -batch-window, or 100µs when unset) only while rounds fill to -max-batch with every armed wait cut short by arriving data; a round ending on a wait that expired empty collapses it to zero with probe backoff")
 	maxBatch := flag.Int("max-batch", server.DefaultMaxBatch, "max ops per coalesced store batch call")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget before connections are closed forcibly")
 	waitSync := flag.Duration("waitsync", 10*time.Second, "how long shutdown waits for asynchronous maintenance (the Shortcut-EH mapper) to catch up")
@@ -101,7 +100,6 @@ func main() {
 	adaptive := flag.Bool("adaptive", false, "Shortcut-EH: measure both access paths online instead of the fixed fan-in threshold")
 	syncMaint := flag.Bool("sync-maintenance", false, "Shortcut-EH: apply shortcut maintenance on the writer instead of the mapper thread")
 	noShortcut := flag.Bool("no-shortcut", false, "route every read through the traditional pointer path")
-	readCache := flag.Bool("read-cache", false, "front GETs with a per-shard hot-key read cache (invalidated wholesale on any write to the shard); best under skewed read-heavy traffic")
 	flag.Parse()
 
 	kind, err := parseKind(*kindName)
@@ -134,7 +132,6 @@ func main() {
 		vmshortcut.WithAdaptiveRouting(*adaptive),
 		vmshortcut.WithSynchronousMaintenance(*syncMaint),
 		vmshortcut.WithDisableShortcut(*noShortcut),
-		vmshortcut.WithReadCache(*readCache),
 		vmshortcut.WithSeqlockRetryHist(metrics.Registry().Hist(
 			"eh_seqlock_retry_attempts",
 			"Retries needed per successful optimistic GET pass.")),
@@ -210,13 +207,12 @@ func main() {
 	}
 
 	scfg := server.Config{
-		Store:               store,
-		BatchWindow:         *batchWindow,
-		BatchWindowAdaptive: *batchWindowAdaptive,
-		MaxBatch:            *maxBatch,
-		Logf:                log.Printf,
-		Metrics:             metrics,
-		SlowOp:              *slowOp,
+		Store:       store,
+		BatchWindow: *batchWindow,
+		MaxBatch:    *maxBatch,
+		Logf:        log.Printf,
+		Metrics:     metrics,
+		SlowOp:      *slowOp,
 	}
 
 	// Replication wiring. The Config fields are interfaces: assign only

@@ -64,9 +64,9 @@
 // Functional options (WithCapacity, WithPollInterval, WithFanInThreshold,
 // WithAdaptiveRouting, WithConcurrency, WithShards, ...) tune the chosen
 // kind; options that do not apply to a kind are ignored so one option set
-// can drive a sweep over all of them. The per-kind constructors
-// (NewHashTable, NewExtendibleHashing, NewShortcutEH, ...) predate Open
-// and remain as deprecated wrappers.
+// can drive a sweep over all of them. Open is the only constructor; the
+// As* accessors (AsShortcutEH, AsExtendibleHashing, AsRadixMap) recover
+// the concrete table for kind-specific APIs.
 //
 // # Concurrency
 //
@@ -84,20 +84,17 @@
 //
 // Under either option, pure-GET traffic takes a lock-free fast path:
 // writers bump a per-shard sequence counter (odd while mutating), and
-// readers run optimistic seqlock passes — with WithReadCache(true) first
-// probing a small hot-key cache whose entries are stamped with that
-// counter, so one write invalidates the whole cache in O(1), then one
-// batch lookup over the keys the cache did not answer, so Shortcut-EH
-// routes once per pass. A pass may overlap a directory doubling; the
-// Shortcut-EH batch lookup holds a reader grace period, so a retired
-// shortcut generation is unmapped only after the passes that could have
-// pinned it have ended. Each index
-// kind carries a readSafe capability bit recording whether its Lookup is
-// free of side effects; kinds that mutate on read (KindHTI migrates
-// entries on access) clear it and keep the locked path, so the fast path
-// can never run a read that writes. Stats reports the per-level serve
-// counts (FastpathCacheReads / FastpathSeqlockReads /
-// FastpathLockedReads).
+// readers run optimistic seqlock passes — one batch lookup per pass, so
+// Shortcut-EH routes once per pass — that are kept only if the counter
+// did not move. A pass may overlap a directory doubling; the Shortcut-EH
+// batch lookup holds a reader grace period, so a retired shortcut
+// generation is unmapped only after the passes that could have pinned
+// it have ended. Each index kind carries a readSafe capability bit
+// recording whether its Lookup is free of side effects; kinds that
+// mutate on read (KindHTI migrates entries on access) clear it and keep
+// the locked path, so the fast path can never run a read that writes. Race-detector builds compile the
+// fast path out, so only plain builds run it. Stats reports how GETs
+// were served (FastpathSeqlockReads / FastpathLockedReads).
 //
 // All rewired memory lives outside the Go heap; the garbage collector
 // never observes it. Linux is required for the rewiring layer (memfd +

@@ -160,3 +160,31 @@ func TestStatOf(t *testing.T) {
 		t.Fatalf("statOf(nil) = %+v, want zero", z)
 	}
 }
+
+// TestCommittedTrajectoryLoads reads the repository's own
+// BENCH_history.json, whose entries carry fields and cell keys of axes
+// the grid no longer has (read_cache, batch_window_adaptive, -readcache
+// and -adwin keys). History decoding stays lenient so the trajectory
+// keeps serving as a baseline: it must load and self-compare green.
+func TestCommittedTrajectoryLoads(t *testing.T) {
+	got, err := LoadComparable(filepath.Join("..", "..", "BENCH_history.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	retired := 0
+	for _, c := range got.Cells {
+		if strings.Contains(c.Key, "-readcache") || strings.Contains(c.Key, "-adwin") {
+			retired++
+		}
+	}
+	if retired == 0 {
+		t.Fatal("the newest history entry has no cells of the retired axes; this test no longer covers them")
+	}
+	cmp, err := Compare(got, got, 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cmp.Failed() {
+		t.Fatalf("committed trajectory self compare failed: %s", cmp)
+	}
+}

@@ -57,13 +57,6 @@ type Config struct {
 	// sampling; sampled traces land in the server's flight recorder
 	// (/tracez on its admin listener).
 	SampleRate float64
-	// ReadCache and AdaptiveWindow record the server-side configuration
-	// this run was measured against (the hot-key read cache and the
-	// adaptive coalescing window). The driver cannot set them — they are
-	// server knobs — but they flow into the report so runs remain
-	// self-describing.
-	ReadCache      bool
-	AdaptiveWindow bool
 }
 
 // DistName is the distribution label runs are reported under.
@@ -161,7 +154,6 @@ func Run(cfg Config) (*Report, error) {
 		Conns: cfg.Conns, Pipeline: cfg.Pipeline,
 		BatchMode: cfg.BatchMode, BatchSize: cfg.BatchSize,
 		Loaded: cfg.Load, Seed: cfg.Seed, Sample: cfg.SampleRate,
-		ReadCache: cfg.ReadCache, AdaptiveWindow: cfg.AdaptiveWindow,
 		WarmupS:   warmupDur.Seconds(),
 		DurationS: elapsed.Seconds(),
 		LoadS:     loadDur.Seconds(),

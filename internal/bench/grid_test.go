@@ -80,6 +80,9 @@ func TestGridRejectsBadCells(t *testing.T) {
 		{"no experiments", `{"experiments": []}`, "no experiments"},
 		{"duplicate cells", `{"experiments": [{"name": "x", "mix": ["A"]}, {"name": "x", "mix": ["A"]}]}`, "duplicate"},
 		{"bad duration", `{"experiments": [{"name": "x", "duration": "fast"}]}`, "duration"},
+		{"misspelt axis", `{"experiments": [{"name": "x", "shard": [4]}]}`, `"shard"`},
+		{"removed axis", `{"experiments": [{"name": "x", "read_cache": [true]}]}`, `"read_cache"`},
+		{"unknown default", `{"defaults": {"adaptive_window": [true]}, "experiments": [{"name": "x"}]}`, `"adaptive_window"`},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

@@ -30,19 +30,14 @@ type Report struct {
 	Seed      uint64 `json:"seed"`
 	// Sample is the trace-sampling probability the workers ran with
 	// (omitted when sampling was off).
-	Sample float64 `json:"sample,omitempty"`
-	// ReadCache / AdaptiveWindow record the server-side read-path knobs
-	// the run was measured against (hot-key read cache, adaptive
-	// coalescing window); both omitted when off.
-	ReadCache      bool    `json:"read_cache,omitempty"`
-	AdaptiveWindow bool    `json:"batch_window_adaptive,omitempty"`
-	WarmupS        float64 `json:"warmup_seconds,omitempty"`
-	DurationS      float64 `json:"duration_seconds"`
-	Ops            uint64  `json:"ops"`
-	Errors         uint64  `json:"errors"`
-	Throughput     float64 `json:"throughput_ops_per_sec"`
-	LoadS          float64 `json:"load_seconds"`
-	LoadRate       float64 `json:"load_ops_per_sec"`
+	Sample     float64 `json:"sample,omitempty"`
+	WarmupS    float64 `json:"warmup_seconds,omitempty"`
+	DurationS  float64 `json:"duration_seconds"`
+	Ops        uint64  `json:"ops"`
+	Errors     uint64  `json:"errors"`
+	Throughput float64 `json:"throughput_ops_per_sec"`
+	LoadS      float64 `json:"load_seconds"`
+	LoadRate   float64 `json:"load_ops_per_sec"`
 
 	// Latency of one pipelined round trip (Pipeline ops per sample),
 	// nanoseconds.
@@ -107,9 +102,9 @@ func (r *Report) WriteSummary(w io.Writer) {
 	if sd := r.ServerDelta; sd != nil {
 		fmt.Fprintf(w, "server window: %d ops, %d frames, %d coalesced batches, %d rejects, %d slow\n",
 			sd.Ops, sd.Frames, sd.CoalescedBatches, sd.Rejects, sd.SlowOps)
-		if sd.FastpathCache+sd.FastpathSeqlock+sd.FastpathLocked > 0 {
-			fmt.Fprintf(w, "read fastpath: cache %d (%.1f%% hit) / seqlock %d / locked %d\n",
-				sd.FastpathCache, 100*sd.CacheHitRate, sd.FastpathSeqlock, sd.FastpathLocked)
+		if sd.FastpathSeqlock+sd.FastpathLocked > 0 {
+			fmt.Fprintf(w, "read fastpath: seqlock %d / locked %d\n",
+				sd.FastpathSeqlock, sd.FastpathLocked)
 		}
 		fmt.Fprintf(w, "server stage p99:")
 		for s := obs.Stage(0); s < obs.NumStages; s++ {

@@ -17,7 +17,6 @@ func fullReport() *Report {
 		Bench: "server", Addr: "127.0.0.1:1", Mix: "A", Dist: "zipfian",
 		Conns: 4, Pipeline: 32, BatchMode: BatchKind, BatchSize: 32,
 		Loaded: 1000, Seed: 42, WarmupS: 0.25, DurationS: 1.5,
-		ReadCache: true, AdaptiveWindow: true,
 		Ops: 123456, Errors: 0, Throughput: 82304.0,
 		LoadS: 0.1, LoadRate: 10000,
 		Latency:  LatencyNS{Samples: 100, Mean: 1000.5, Min: 10, P50: 900, P95: 2000, P99: 3000, Max: 9999},
@@ -37,10 +36,10 @@ func fullReport() *Report {
 // schema. Adding a field means adding it here — deliberately; a field
 // vanishing (or the deprecated "batch" int resurfacing) fails the test.
 var reportKeys = []string{
-	"addr", "batch_mode", "batch_size", "batch_window_adaptive", "bench",
+	"addr", "batch_mode", "batch_size", "bench",
 	"conns", "dist", "durability", "duration_seconds", "errors",
 	"latency_ns", "load_ops_per_sec", "load_seconds", "loaded", "mix",
-	"op_counts", "ops", "pipeline", "read_cache", "replication", "seed",
+	"op_counts", "ops", "pipeline", "replication", "seed",
 	"server", "store", "throughput_ops_per_sec", "warmup_seconds",
 }
 
@@ -100,7 +99,6 @@ func TestReportSchemaRoundTrip(t *testing.T) {
 func TestReportOmitsEmptyOptionals(t *testing.T) {
 	r := fullReport()
 	r.BatchMode, r.BatchSize, r.WarmupS, r.Replication = BatchNone, 0, 0, nil
-	r.ReadCache, r.AdaptiveWindow = false, false
 	blob, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +107,7 @@ func TestReportOmitsEmptyOptionals(t *testing.T) {
 	if err := json.Unmarshal(blob, &m); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{"batch", "batch_size", "warmup_seconds", "replication", "read_cache", "batch_window_adaptive"} {
+	for _, k := range []string{"batch", "batch_size", "warmup_seconds", "replication"} {
 		if _, ok := m[k]; ok {
 			t.Errorf("key %q present in a run that has nothing to report under it", k)
 		}

@@ -142,9 +142,6 @@ func startNode(cell Cell, walDir string) (*node, error) {
 			"eh_seqlock_retry_attempts",
 			"Retries needed per successful optimistic GET pass.")),
 	}
-	if cell.ReadCache {
-		opts = append(opts, vmshortcut.WithReadCache(true))
-	}
 	if cell.Fsync != FsyncNone {
 		mode, err := vmshortcut.ParseFsyncMode(cell.Fsync)
 		if err != nil {
@@ -162,7 +159,7 @@ func startNode(cell Cell, walDir string) (*node, error) {
 		return nil, err
 	}
 	n := &node{store: store, walDir: walDir, done: make(chan error, 1)}
-	scfg := server.Config{Store: store, Metrics: metrics, BatchWindowAdaptive: cell.AdWin}
+	scfg := server.Config{Store: store, Metrics: metrics}
 	if rep, ok := vmshortcut.AsReplicable(store); ok {
 		n.source = repl.NewSource(rep, repl.SourceConfig{})
 		scfg.Repl = n.source

@@ -22,14 +22,10 @@ type ServerDelta struct {
 	Rejects          uint64 `json:"rejects"`
 	SlowOps          uint64 `json:"slow_ops"`
 
-	// Read fast-path deltas: GET entries served by each level during the
-	// window, plus the cache probe misses and the resulting window hit
-	// rate (0 when the store has no cache or took no probes).
-	FastpathCache   uint64  `json:"fastpath_cache"`
-	FastpathSeqlock uint64  `json:"fastpath_seqlock"`
-	FastpathLocked  uint64  `json:"fastpath_locked"`
-	CacheMisses     uint64  `json:"cache_misses"`
-	CacheHitRate    float64 `json:"cache_hit_rate"`
+	// Read fast-path deltas: GET entries served lock-free (seqlock) and
+	// under the read lock during the window.
+	FastpathSeqlock uint64 `json:"fastpath_seqlock"`
+	FastpathLocked  uint64 `json:"fastpath_locked"`
 
 	// Stages holds the windowed per-stage histograms, keyed by stage name
 	// (frame_decode, shard_apply, ... — see obs.Stage). Only stages that
@@ -80,14 +76,9 @@ func newServerDelta(before, after *obs.Scrape) *ServerDelta {
 		Rejects: delta(`eh_rejects_total{reason="read_only"}`) +
 			delta(`eh_rejects_total{reason="stale"}`),
 		SlowOps:         delta("eh_slow_ops_total"),
-		FastpathCache:   delta(`eh_read_fastpath_total{level="cache"}`),
 		FastpathSeqlock: delta(`eh_read_fastpath_total{level="seqlock"}`),
 		FastpathLocked:  delta(`eh_read_fastpath_total{level="locked"}`),
-		CacheMisses:     delta("eh_read_cache_misses_total"),
 		Stages:          make(map[string]StageWindow),
-	}
-	if probes := d.FastpathCache + d.CacheMisses; probes > 0 {
-		d.CacheHitRate = float64(d.FastpathCache) / float64(probes)
 	}
 	for s := obs.Stage(0); s < obs.NumStages; s++ {
 		ah, ok := after.Hists[s.MetricName()]

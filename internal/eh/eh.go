@@ -3,6 +3,7 @@ package eh
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"vmshortcut/internal/bucket"
 	"vmshortcut/internal/hashfn"
@@ -81,6 +82,10 @@ type Table struct {
 	cfg        Config
 	onEvent    func(Event)
 
+	// view publishes gd and dir together for Lookup and LookupInto; see
+	// dirView.
+	view atomic.Pointer[dirView]
+
 	// Splits, Doubles, Merges, and Halves count structural modifications
 	// (recorded in EXPERIMENTS.md).
 	Splits  int
@@ -88,6 +93,23 @@ type Table struct {
 	Merges  int
 	Halves  int
 }
+
+// dirView is the directory as lookups read it: the global depth and the
+// slot slice, replaced together whenever a doubling or halving replaces
+// them. Lookups are the one operation a lock-free seqlock reader runs
+// beside the writer, and reading the depth and the slice header as plain
+// fields could then pair one directory's slot array with another's
+// length: an out-of-bounds read of the Go heap whose garbage "bucket
+// address" faults, which recover cannot catch. A view is immutable
+// except for its slots, which splits and merges rewrite a word at a time.
+type dirView struct {
+	gd  uint
+	dir []uintptr
+}
+
+// publishView makes the current gd and dir the view lookups read; called
+// after every change to either.
+func (t *Table) publishView() { t.view.Store(&dirView{gd: t.gd, dir: t.dir}) }
 
 // New creates a table with a single empty bucket — the paper's starting
 // point of 4 KB effective space.
@@ -116,6 +138,7 @@ func New(p *pool.Pool, cfg Config) (*Table, error) {
 	t.dir = []uintptr{p.Addr(ref)}
 	t.refs = []pool.Ref{ref}
 	t.buckets = 1
+	t.publishView()
 	for t.gd < cfg.InitialGlobalDepth {
 		if err := t.double(); err != nil {
 			return nil, err
@@ -189,8 +212,8 @@ func (t *Table) Insert(key, value uint64) error {
 
 // Lookup returns the value stored for key.
 func (t *Table) Lookup(key uint64) (uint64, bool) {
-	idx := hashfn.DirIndex(hashfn.Hash(key), t.gd)
-	return bucket.ViewAddr(t.dir[idx]).Lookup(key)
+	v := t.view.Load()
+	return bucket.ViewAddr(v.dir[hashfn.DirIndex(hashfn.Hash(key), v.gd)]).Lookup(key)
 }
 
 // InsertBatch upserts every (keys[i], values[i]) pair; semantically a loop
@@ -220,10 +243,9 @@ func (t *Table) LookupBatch(keys []uint64, out []uint64) []bool {
 // LookupInto is LookupBatch writing presence into the caller's found
 // column (length at least len(keys)) instead of allocating one.
 func (t *Table) LookupInto(keys, vals []uint64, found []bool) {
-	gd := t.gd
+	v := t.view.Load()
 	for i, k := range keys {
-		idx := hashfn.DirIndex(hashfn.Hash(k), gd)
-		vals[i], found[i] = bucket.ViewAddr(t.dir[idx]).Lookup(k)
+		vals[i], found[i] = bucket.ViewAddr(v.dir[hashfn.DirIndex(hashfn.Hash(k), v.gd)]).Lookup(k)
 	}
 }
 
@@ -364,6 +386,7 @@ func (t *Table) double() error {
 	t.dir = newDir
 	t.refs = newRefs
 	t.gd++
+	t.publishView()
 	t.version++
 	t.Doubles++
 	if t.onEvent != nil {

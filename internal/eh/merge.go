@@ -133,6 +133,7 @@ func (t *Table) maybeHalve() {
 		t.dir = newDir
 		t.refs = newRefs
 		t.gd--
+		t.publishView()
 		t.version++
 		t.Halves++
 		if t.onEvent != nil {

@@ -122,5 +122,6 @@ func Restore(p *pool.Pool, cfg Config, r io.Reader) (*Table, error) {
 			t.buckets++
 		}
 	}
+	t.publishView()
 	return t, nil
 }

@@ -455,9 +455,7 @@ func CountRuns(kinds []Kind) (runs [3]uint64) {
 //
 // A Results also carries the working memory of a layer that splits the
 // batch into parts (the sharded store): the route column and the per-part
-// sub-batches and results, reused across calls like the outcome columns;
-// and that of a layer that answers part of a batch itself (the hot-key
-// cache) and looks the rest up in one pass (LookupMissing).
+// sub-batches and results, reused across calls like the outcome columns.
 // A caller that keeps one Results per stream of calls — the server keeps
 // one per connection — therefore applies batches without allocating, and
 // a Results must not be shared by concurrent calls.
@@ -469,10 +467,6 @@ type Results struct {
 	parts   []Batch   // one sub-batch per part, in entry order
 	partRes []Results // outcomes of parts[p]
 	cursor  []int     // per-part count, then gather position
-
-	missPos  []uint32 // entries LookupMissing looks up, in entry order
-	missKeys []uint64 // their keys
-	miss     *Results // their outcomes
 }
 
 // Reset sizes the results for n entries, all zero.
@@ -543,37 +537,4 @@ func (r *Results) Gather() {
 		r.Vals[i] = r.partRes[p].Vals[j]
 		cur[p] = j + 1
 	}
-}
-
-// LookupMissing completes a partly answered GET batch over keys (r sized
-// for it): the entries whose Found is still false are looked up with ONE
-// call to lookup, over their keys compacted into r's working memory, and
-// the outcomes are written back. It returns how many entries it looked
-// up. When no entry is answered yet, lookup runs over keys and r directly.
-func (r *Results) LookupMissing(keys []uint64, lookup func(keys, vals []uint64, found []bool)) int {
-	r.missPos, r.missKeys = r.missPos[:0], r.missKeys[:0]
-	for i, f := range r.Found {
-		if !f {
-			r.missPos = append(r.missPos, uint32(i))
-			r.missKeys = append(r.missKeys, keys[i])
-		}
-	}
-	n := len(r.missPos)
-	switch n {
-	case 0:
-		return 0
-	case len(keys):
-		lookup(keys, r.Vals, r.Found)
-		return n
-	}
-	if r.miss == nil {
-		r.miss = new(Results)
-	}
-	m := r.miss
-	m.Reset(n)
-	lookup(r.missKeys, m.Vals, m.Found)
-	for j, i := range r.missPos {
-		r.Vals[i], r.Found[i] = m.Vals[j], m.Found[j]
-	}
-	return n
 }

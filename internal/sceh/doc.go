@@ -35,10 +35,9 @@
 //
 // # Concurrency
 //
-// A Table is single-writer, matching the paper. Concurrent, the
-// readers-writer wrapper in this package, lifts that to one writer at a
-// time with parallel readers — the facade's WithConcurrency reimplements
-// the same discipline with lifecycle handling on top. To scale writers
+// A Table is single-writer, matching the paper. The facade's
+// WithConcurrency lifts that to one writer at a time with parallel
+// readers, with lifecycle handling on top. To scale writers
 // across cores, the facade's WithShards hash-partitions the keyspace over
 // several independent Tables (each with its own mapper thread and lock
 // stripe) instead of sharing one lock.

@@ -160,7 +160,8 @@ func TestReadReplFrameAdmitsOversizedRecords(t *testing.T) {
 // TestStatsReplyVersionSkew is the rollout contract (see StatsReply): an
 // old binary must decode a newer server's reply — unknown sections and
 // counters skipped, known fields intact — and a new binary must decode an
-// old server's reply with the replication fields at their zero values.
+// old server's reply with the replication fields at their zero values,
+// skipping any optional section that has since been dropped.
 func TestStatsReplyVersionSkew(t *testing.T) {
 	// A "future" server: every known section has extra fields, plus a
 	// whole unknown top-level section.
@@ -182,13 +183,6 @@ func TestStatsReplyVersionSkew(t *testing.T) {
 			"frames_by_op": {"get": 2, "teleport": 1},
 			"slow_ops": 3,
 			"trace_spans": 12
-		},
-		"hotkeys": {
-			"hit_rate": 0.75,
-			"cache_reads": 30,
-			"cache_misses": 10,
-			"top": [{"key": 7, "hits": 21, "last_seen_ns": 99}],
-			"evictions": 5
 		},
 		"sharding": {"shards": 16}
 	}`
@@ -227,17 +221,20 @@ func TestStatsReplyVersionSkew(t *testing.T) {
 	if r.Obs.Frames["teleport"] != 1 {
 		t.Fatalf("unknown frame opcode dropped: %+v", r.Obs.Frames)
 	}
-	// The hotkeys section rides the same contract: known fields intact,
-	// extra fields (on the section and on each top entry) skipped.
-	if r.Hotkeys == nil || r.Hotkeys.HitRate != 0.75 || r.Hotkeys.CacheReads != 30 || r.Hotkeys.CacheMisses != 10 {
-		t.Fatalf("hotkeys section lost: %+v", r.Hotkeys)
-	}
-	if len(r.Hotkeys.Top) != 1 || r.Hotkeys.Top[0].Key != 7 || r.Hotkeys.Top[0].Hits != 21 {
-		t.Fatalf("hotkeys top entries lost: %+v", r.Hotkeys.Top)
-	}
-
-	// An "old" server: no role, no replication, no hotkeys.
-	old := `{"server": {"ops": 1}, "store": {}, "durability": {}}`
+	// An "old" server: no role, no replication, but the hotkeys section
+	// (and its store counters) that servers with the since-removed read
+	// cache sent. The dropped section is skipped like any unknown one.
+	old := `{
+		"server": {"ops": 1, "active_conns": 2},
+		"store": {"Entries": 4, "FastpathCacheReads": 30, "CacheMisses": 10},
+		"durability": {"wal_records": 6},
+		"hotkeys": {
+			"hit_rate": 0.75,
+			"cache_reads": 30,
+			"cache_misses": 10,
+			"top": [{"key": 7, "hits": 21}]
+		}
+	}`
 	r = StatsReply{}
 	if err := json.Unmarshal([]byte(old), &r); err != nil {
 		t.Fatalf("old reply must decode: %v", err)
@@ -245,8 +242,8 @@ func TestStatsReplyVersionSkew(t *testing.T) {
 	if r.Role != "" || r.Replication != nil {
 		t.Fatalf("old reply grew replication state: %+v", r)
 	}
-	if r.Hotkeys != nil {
-		t.Fatalf("old reply grew a hotkeys section: %+v", r.Hotkeys)
+	if r.Server.Ops != 1 || r.Server.ActiveConns != 2 || r.Store.Entries != 4 || r.Durability.WALRecords != 6 {
+		t.Fatalf("old reply lost known fields next to hotkeys: %+v", r)
 	}
 
 	// And the new fields stay out of the payload when unset, so old
@@ -256,7 +253,7 @@ func TestStatsReplyVersionSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, banned := range []string{"role", "replication", "read_only_rejects", "stale_rejects", "obs", "hotkeys"} {
+	for _, banned := range []string{"role", "replication", "read_only_rejects", "stale_rejects", "obs"} {
 		if strings.Contains(string(blob), banned) {
 			t.Fatalf("zero-value reply leaks %q: %s", banned, blob)
 		}

@@ -147,7 +147,10 @@ const (
 // client reading a newer server's reply (extra sections, extra counters)
 // sees everything it knows about and skips the rest — version skew
 // between ehload/ehstore and the server is expected during rollouts.
-// Fields must therefore never be removed or renamed, only added.
+// Fields must therefore never be renamed, and a required field never
+// removed. An optional (omitempty) section may be dropped with the
+// feature it reports: a new reader skips it in an old server's reply,
+// and an old reader finds it absent, as it always could be.
 type StatsReply struct {
 	Server ServerCounters   `json:"server"`
 	Store  vmshortcut.Stats `json:"store"`
@@ -164,28 +167,6 @@ type StatsReply struct {
 	// enabled. Like every other section it only ever gains fields;
 	// readers must ignore stages they do not know.
 	Obs *ObsStats `json:"obs,omitempty"`
-	// Hotkeys is the hot-key read-cache section, present when the store
-	// serves reads through one (WithReadCache): the cache's hit rate and
-	// the hottest resident keys. Same contract as every section: fields
-	// are only ever added.
-	Hotkeys *HotkeysStats `json:"hotkeys,omitempty"`
-}
-
-// HotkeysStats is the hotkeys section of StatsReply. HitRate is
-// lifetime CacheReads / (CacheReads + CacheMisses); Top lists the
-// hottest resident cache entries, hottest first.
-type HotkeysStats struct {
-	HitRate     float64  `json:"hit_rate"`
-	CacheReads  uint64   `json:"cache_reads"`
-	CacheMisses uint64   `json:"cache_misses"`
-	Top         []HotKey `json:"top,omitempty"`
-}
-
-// HotKey is one entry of HotkeysStats.Top: a resident cached key and
-// how many reads it has served from its slot.
-type HotKey struct {
-	Key  uint64 `json:"key"`
-	Hits uint64 `json:"hits"`
 }
 
 // ObsStats is the observability section of StatsReply: summarized

@@ -132,31 +132,17 @@ func (m *Metrics) bindServer(s *Server) {
 	// Read fast path: GET entries partitioned by how the store served
 	// them. The counters live in the store (summed across shards); these
 	// bindings read them at render time only.
-	reg.CounterFunc(`eh_read_fastpath_total{level="cache"}`,
-		"Pure-GET entries by serving level: hot-key cache, seqlock-validated lock-free read, or under the read lock.",
-		func() uint64 { return s.store.Stats().FastpathCacheReads })
-	reg.CounterFunc(`eh_read_fastpath_total{level="seqlock"}`, "",
+	reg.CounterFunc(`eh_read_fastpath_total{level="seqlock"}`,
+		"Pure-GET entries by serving level: seqlock-validated lock-free read, or under the read lock.",
 		func() uint64 { return s.store.Stats().FastpathSeqlockReads })
 	reg.CounterFunc(`eh_read_fastpath_total{level="locked"}`, "",
 		func() uint64 { return s.store.Stats().FastpathLockedReads })
-	reg.CounterFunc("eh_read_cache_misses_total",
-		"Hot-key cache probes that fell through to the index.",
-		func() uint64 { return s.store.Stats().CacheMisses })
 	reg.CounterFunc("eh_seqlock_retries_total",
 		"Optimistic read passes discarded because a writer moved the sequence counter.",
 		func() uint64 { return s.store.Stats().SeqlockRetries })
 	reg.CounterFunc("eh_seqlock_fallbacks_total",
 		"Pure-GET batches that exhausted seqlock retries and took the lock.",
 		func() uint64 { return s.store.Stats().SeqlockFallbacks })
-	reg.GaugeFunc("eh_read_cache_hit_rate",
-		"Lifetime hot-key cache hit rate: hits / (hits + misses); 0 with no probes.",
-		func() float64 {
-			st := s.store.Stats()
-			if probes := st.FastpathCacheReads + st.CacheMisses; probes > 0 {
-				return float64(st.FastpathCacheReads) / float64(probes)
-			}
-			return 0
-		})
 
 	if _, ok := vmshortcut.AsDurable(s.store); ok {
 		stat := func(f func(vmshortcut.Stats) float64) func() float64 {

@@ -53,24 +53,6 @@ import (
 // coalesced store call may carry.
 const DefaultMaxBatch = 1024
 
-// DefaultAdaptiveWindow is the adaptive coalescer's window ceiling when
-// Config.BatchWindow does not set one.
-const DefaultAdaptiveWindow = 100 * time.Microsecond
-
-// adaptiveMinWindow is the smallest non-zero adaptive window: widening
-// starts here, and collapsing below it lands on zero (no wait at all).
-const adaptiveMinWindow = 5 * time.Microsecond
-
-// adaptiveProbeMaxGap caps the probe backoff: after a probed window
-// expires without gathering anything, the connection serves at least
-// this many window-less rounds (doubling up from adaptiveProbeMinGap)
-// before arming the next probe, so closed-loop clients pay the wasted
-// wait a vanishing fraction of the time.
-const adaptiveProbeMaxGap = 512
-
-// adaptiveProbeMinGap is the backoff's starting gap.
-const adaptiveProbeMinGap = 4
-
 // Config configures a Server. Store is the only required field.
 type Config struct {
 	// Store answers every request. The server does not close it: the
@@ -96,20 +78,6 @@ type Config struct {
 	// added latency for larger batches — worthwhile for clients that
 	// dribble requests.
 	BatchWindow time.Duration
-
-	// BatchWindowAdaptive makes the coalescing window self-tuning per
-	// connection instead of fixed. The signal is the outcome of each
-	// armed wait, not batch depth: the window widens (doubling, up to
-	// BatchWindow — or DefaultAdaptiveWindow when BatchWindow is 0) only
-	// while rounds fill to MaxBatch with every armed wait cut short by
-	// arriving data, i.e. a dense open-loop stream the window is
-	// stitching without ever timing out; any round that ends on a wait
-	// that expired without a byte — the closed-loop signature, where the
-	// client sends nothing until it sees replies — collapses the window
-	// to zero and backs off exponentially before probing again.
-	// Connections whose bursts arrive whole — and idle or dribbling
-	// connections — therefore converge to paying no window at all.
-	BatchWindowAdaptive bool
 
 	// MaxBatch caps the ops per coalesced store call (default
 	// DefaultMaxBatch, hard-capped at wire.MaxMixedBatch so a gathered
@@ -205,7 +173,9 @@ type Server struct {
 	wg    sync.WaitGroup
 
 	draining atomic.Bool
-	closed   atomic.Bool
+	// closed is set before connections are closed forcibly (Close, or
+	// Shutdown past its deadline); see waitShipped.
+	closed atomic.Bool
 
 	activeConns      atomic.Int64
 	totalConns       atomic.Uint64
@@ -245,22 +215,22 @@ func (s *Server) gate() gateState {
 	return gateReadOnly
 }
 
+// errClosedUnshipped fails a synchronous-replication write whose wait
+// ended after the server began closing its connections forcibly.
+var errClosedUnshipped = errors.New("server closed before the write was replicated")
+
 // waitShipped is the synchronous-replication write gate: after a durable
 // mutation, hold its acknowledgement until a connected follower also has
-// it. The wait degrades (per the source's policy) rather than stalling
-// the write path forever.
-func (s *Server) waitShipped() {
-	if rs := s.cfg.Repl; rs != nil && rs.SyncMode() {
-		rs.WaitShipped(rs.LastLSN())
-	}
-}
-
-// timedWaitShipped is waitShipped with the wait recorded as
-// StageReplAck when instrumentation is on and the gate actually engages.
-func (st *connState) timedWaitShipped() {
+// it, recording the wait as StageReplAck when instrumentation is on. The
+// wait degrades (per the source's policy) rather than stalling the write
+// path forever, and a follower that disconnects ends it as if shipped.
+// Closing the server forcibly disconnects the followers' streams too, so
+// a wait that ends once that has begun may not have reached any
+// follower: the write then fails instead of being acknowledged.
+func (st *connState) waitShipped() error {
 	rs := st.srv.cfg.Repl
 	if rs == nil || !rs.SyncMode() {
-		return
+		return nil
 	}
 	var t0 time.Time
 	if st.instr {
@@ -270,6 +240,10 @@ func (st *connState) timedWaitShipped() {
 	if st.instr {
 		st.trace.Set(obs.StageReplAck, time.Since(t0))
 	}
+	if st.srv.closed.Load() {
+		return errClosedUnshipped
+	}
+	return nil
 }
 
 // New creates a Server for cfg.
@@ -405,7 +379,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // close without draining. Prefer Shutdown.
 func (s *Server) Close() error {
 	s.draining.Store(true)
-	s.closed.Store(true)
 	s.mu.Lock()
 	if s.ln != nil {
 		s.ln.Close()
@@ -417,6 +390,7 @@ func (s *Server) Close() error {
 }
 
 func (s *Server) closeConns() {
+	s.closed.Store(true)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for c := range s.conns {
@@ -474,19 +448,6 @@ type connState struct {
 	// answered, but the stream is no longer frame-aligned, so the
 	// connection must close right after.
 	drainBroken bool
-
-	// Adaptive-window state (Config.BatchWindowAdaptive): win is this
-	// connection's current coalescing window, retuned by adaptWindow
-	// after every singles round from the outcome flags peekSingle sets —
-	// waitHit (an armed wait was cut short by arriving data) and
-	// waitExpired (an armed wait timed out empty); probeSkip counts
-	// window-less rounds left before the next probe, and probeGap is the
-	// backoff that refills it.
-	win         time.Duration
-	waitHit     bool
-	waitExpired bool
-	probeSkip   int
-	probeGap    int
 
 	// Observability (instr is set once, from Config.Metrics != nil):
 	// trace collects the current batch's per-stage durations — it is
@@ -727,9 +688,6 @@ func (st *connState) singles(tag byte, payload []byte) error {
 	}
 
 	n := st.batch.Len()
-	if st.srv.cfg.BatchWindowAdaptive {
-		st.adaptWindow(n)
-	}
 	st.srv.ops.Add(uint64(n))
 	if n > 1 {
 		st.srv.coalescedBatches.Add(1)
@@ -762,7 +720,9 @@ func (st *connState) singles(tag byte, payload []byte) error {
 		return nil
 	}
 	if st.batch.Mutations() > 0 {
-		st.timedWaitShipped()
+		if err := st.waitShipped(); err != nil {
+			return err
+		}
 	}
 	for i, kind := range st.batch.Kinds() {
 		switch kind {
@@ -861,73 +821,9 @@ func (st *connState) appendSingle(tag byte, payload []byte) error {
 // waiting on them is not starved); without one it only inspects what is
 // already buffered, adding zero latency. A window timeout consumes
 // nothing — the partial bytes stay buffered for the main loop.
-// adaptWindow retunes the connection's coalescing window from the
-// outcome of the round just gathered. A window is only worth keeping
-// when it never expires: open-loop traffic dense enough that every
-// round fills to MaxBatch, with armed waits always cut short by
-// arriving data. Any round that ended on an expired wait paid the
-// timeout — and pays far more than the configured window reads, since
-// sub-millisecond read deadlines round up to the poller's granularity —
-// so it collapses the window to zero and re-probes only after an
-// exponentially growing number of window-less rounds. A wait that data
-// cut short mid-round is NOT enough to keep the window (a fast server
-// can catch a closed-loop client mid-burst, "earn" the stitch, then
-// burn the full timeout on the very next round); only a round that
-// both hit and filled to MaxBatch widens. Batch depth alone cannot
-// drive any of this: a closed-loop client with a deep pipeline gathers
-// deep batches with nothing left in flight behind them.
-func (st *connState) adaptWindow(n int) {
-	switch {
-	case st.waitExpired:
-		// An armed window expired empty: collapse, and back off before
-		// the next probe.
-		st.win = 0
-		st.probeGap *= 2
-		if st.probeGap < adaptiveProbeMinGap {
-			st.probeGap = adaptiveProbeMinGap
-		}
-		if st.probeGap > adaptiveProbeMaxGap {
-			st.probeGap = adaptiveProbeMaxGap
-		}
-		st.probeSkip = st.probeGap
-	case st.waitHit && n >= st.srv.cfg.MaxBatch:
-		// Saturated round with every armed wait cut short: the window is
-		// stitching a dense open-loop stream and never timing out. Widen
-		// toward the ceiling.
-		st.probeGap = 0
-		ceiling := st.srv.cfg.BatchWindow
-		if ceiling <= 0 {
-			ceiling = DefaultAdaptiveWindow
-		}
-		switch {
-		case st.win == 0:
-			st.win = adaptiveMinWindow
-		case st.win < ceiling:
-			st.win *= 2
-			if st.win > ceiling {
-				st.win = ceiling
-			}
-		}
-	case st.win == 0 && n >= 2:
-		// Pipelined traffic with no window armed. Occasionally probe a
-		// minimal window to discover whether bursts are fragmenting; a
-		// lone-request round (n <= 1) never probes — a dribbling client
-		// has nothing a window could stitch.
-		if st.probeSkip > 0 {
-			st.probeSkip--
-		} else {
-			st.win = adaptiveMinWindow
-		}
-	}
-	st.waitHit, st.waitExpired = false, false
-}
-
 func (st *connState) peekSingle() bool {
 	if st.br.Buffered() < wire.HeaderSize {
 		w := st.srv.cfg.BatchWindow
-		if st.srv.cfg.BatchWindowAdaptive {
-			w = st.win
-		}
 		if w <= 0 || st.srv.draining.Load() {
 			return false
 		}
@@ -936,10 +832,8 @@ func (st *connState) peekSingle() bool {
 		_, err := st.br.Peek(wire.HeaderSize)
 		st.c.SetReadDeadline(time.Time{})
 		if err != nil {
-			st.waitExpired = true
 			return false
 		}
-		st.waitHit = true
 	}
 	hdr, err := st.br.Peek(wire.HeaderSize)
 	if err != nil {
@@ -1005,7 +899,9 @@ func (st *connState) batchFrame(tag byte, payload []byte) error {
 		return nil
 	}
 	if st.batch.Mutations() > 0 {
-		st.timedWaitShipped()
+		if err := st.waitShipped(); err != nil {
+			return err
+		}
 	}
 	switch tag {
 	case wire.OpGetBatch:
@@ -1088,24 +984,8 @@ func (s *Server) StatsReply() wire.StatsReply {
 	if s.metrics != nil {
 		reply.Obs = s.metrics.obsStats()
 	}
-	if top, ok := vmshortcut.HotKeys(s.store, hotkeysTopK); ok {
-		hk := &wire.HotkeysStats{
-			CacheReads:  storeStats.FastpathCacheReads,
-			CacheMisses: storeStats.CacheMisses,
-		}
-		if probes := hk.CacheReads + hk.CacheMisses; probes > 0 {
-			hk.HitRate = float64(hk.CacheReads) / float64(probes)
-		}
-		for _, h := range top {
-			hk.Top = append(hk.Top, wire.HotKey{Key: h.Key, Hits: h.Hits})
-		}
-		reply.Hotkeys = hk
-	}
 	return reply
 }
-
-// hotkeysTopK bounds the hotkeys section's Top list.
-const hotkeysTopK = 8
 
 // statsReply answers OpStats with the JSON StatsReply.
 func (st *connState) statsReply() error {

@@ -307,10 +307,8 @@ func (s *sharded) Stats() Stats {
 		agg.ShortcutVersion += st.ShortcutVersion
 		agg.InSync = agg.InSync && st.InSync
 		agg.UsingShortcut = agg.UsingShortcut && st.UsingShortcut
-		agg.FastpathCacheReads += st.FastpathCacheReads
 		agg.FastpathSeqlockReads += st.FastpathSeqlockReads
 		agg.FastpathLockedReads += st.FastpathLockedReads
-		agg.CacheMisses += st.CacheMisses
 		agg.SeqlockRetries += st.SeqlockRetries
 		agg.SeqlockFallbacks += st.SeqlockFallbacks
 		if st.LoadFactor > 0 {

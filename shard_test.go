@@ -642,35 +642,6 @@ func TestShardedApplyBatchDoesNotAllocate(t *testing.T) {
 			t.Errorf("shards=2 %s ApplyBatch allocates %.1f times per call, want 0", c.name, n)
 		}
 	}
-
-	// With the read cache, resident keys are answered from it and the
-	// rest (here the absent ones, which never become resident) are
-	// looked up in one compacted pass inside res.
-	cached := openShardedSCEH(t, 2, WithReadCache(true))
-	var partial OpBatch
-	for k := uint64(0); k < 16; k++ {
-		if err := cached.Insert(k, k); err != nil {
-			t.Fatal(err)
-		}
-		partial.Get(k)
-		partial.Get(1<<20 + k)
-	}
-	for i := 0; i < 4; i++ { // admit the present keys
-		if err := cached.ApplyBatch(&partial, &res); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := cached.Stats()
-	if n := testing.AllocsPerRun(200, func() {
-		if err := cached.ApplyBatch(&partial, &res); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("shards=2 read-cache partial32 ApplyBatch allocates %.1f times per call, want 0", n)
-	}
-	if st := cached.Stats(); st.FastpathCacheReads == before.FastpathCacheReads {
-		t.Errorf("partial32 batches never hit the read cache: %+v", st)
-	}
 }
 
 // TestApplyRunsDoesNotAllocate checks that the GET and DEL runs of every

@@ -212,20 +212,20 @@ type Stats struct {
 	DeleteBatches uint64
 
 	// Read fast path (WithConcurrency stores; summed across shards). The
-	// three Fastpath counters partition GET entries by how they were
-	// served: from the hot-key cache (WithReadCache), by a
-	// seqlock-validated lock-free read, or under the read lock.
-	// CacheMisses counts cache probes that fell through; the cache hit
-	// rate is FastpathCacheReads / (FastpathCacheReads + CacheMisses).
-	// SeqlockRetries counts optimistic passes discarded because a writer
-	// moved the sequence counter mid-read; SeqlockFallbacks counts
+	// two Fastpath counters partition GET entries by how they were
+	// served: by a seqlock-validated lock-free read, or under the read
+	// lock. SeqlockRetries counts optimistic passes discarded because a
+	// writer moved the sequence counter mid-read; SeqlockFallbacks counts
 	// batches that exhausted their retries and took the lock.
-	FastpathCacheReads   uint64
 	FastpathSeqlockReads uint64
 	FastpathLockedReads  uint64
-	CacheMisses          uint64
 	SeqlockRetries       uint64
 	SeqlockFallbacks     uint64
+
+	// Deprecated: always 0. It counted reads served by the hot-key read
+	// cache, which has been removed; the field stays so existing readers
+	// keep compiling.
+	FastpathCacheReads uint64
 }
 
 // storeOptions collects the functional options; zero values defer to each
@@ -249,7 +249,6 @@ type storeOptions struct {
 	disableShortcut bool
 	concurrent      bool
 	shards          int
-	readCache       bool
 	seqlockHist     *obs.Hist
 
 	// Durability (durable.go): set via WithWAL and friends; ignored
@@ -418,18 +417,6 @@ func WithDisableShortcut(on bool) Option {
 // independent sub-stores and the single lock becomes one stripe per shard.
 func WithConcurrency(on bool) Option {
 	return func(o *storeOptions) { o.concurrent = on }
-}
-
-// WithReadCache fronts the pure-GET path of a concurrency-safe store
-// with a small per-shard hot-key cache: fixed arrays of atomics, so a
-// hit is lock-free and allocation-free, invalidated as a whole by any
-// write to the shard (the slots are stamped with the shard's write
-// sequence counter), with sketch-gated admission so only repeatedly
-// read keys occupy slots. It needs WithConcurrency or WithShards to
-// have a fast path to front, and is ignored — like every inapplicable
-// option — without one of them, and for KindHTI, whose reads mutate.
-func WithReadCache(on bool) Option {
-	return func(o *storeOptions) { o.readCache = on }
 }
 
 // WithSeqlockRetryHist records, for every optimistic pure-GET read that
@@ -613,11 +600,10 @@ func (o *storeOptions) autoPool() (*Pool, error) {
 // is created and owned by the store when the kind needs one and WithPool
 // did not inject it, so Open(KindShortcutEH) works with no further setup.
 // WithShards(n) with n > 1 returns a sharded store: n independent
-// sub-stores with the keyspace hash-partitioned across them.
-//
-// The old per-kind constructors (NewHashTable, NewExtendibleHashing,
-// NewShortcutEH, ...) remain as deprecated wrappers around the same
-// implementations.
+// sub-stores with the keyspace hash-partitioned across them. Open is
+// the only constructor of the indexes; the As* accessors recover a
+// store's concrete table (AsShortcutEH, AsExtendibleHashing, AsRadixMap)
+// for kind-specific APIs such as snapshots and Range iteration.
 func Open(kind Kind, opts ...Option) (Store, error) {
 	var o storeOptions
 	for _, opt := range opts {
@@ -802,12 +788,6 @@ func openStore(kind Kind, o *storeOptions) (*store, error) {
 			readSafe:  kind != KindHTI,
 			retryHist: o.seqlockHist,
 		}
-		// The sequence counter starts at 2 so a live (even) value never
-		// collides with 0, the cache's empty-slot stamp.
-		lck.seq.Store(2)
-		if o.readCache && !lck.readMutates {
-			lck.cache = new(readCache)
-		}
 		s.idx = lck
 		s.lck = lck
 		inner := s.stats
@@ -870,13 +850,11 @@ func (m mergingEH) DeleteInto(keys []uint64, found []bool) { m.Table.DeleteAndMe
 // read under the lock, so close() cannot release the underlying memory
 // while an operation is mid-flight.
 //
-// On top of the lock it layers the two-level pure-GET fast path. seq is
-// a seqlock sequence counter: every mutating path bumps it entering and
-// leaving the write critical section (odd = writer inside), so a
-// lock-free reader can validate that nothing changed around its pass
-// and discard the result otherwise. The hot-key cache (WithReadCache)
-// stamps its slots with seq, which makes any write an O(1) whole-cache
-// invalidation. Optimistic readers register in optReaders before
+// On top of the lock it layers the pure-GET fast path. seq is a seqlock
+// sequence counter: every mutating path bumps it entering and leaving
+// the write critical section (odd = writer inside), so a lock-free
+// reader can validate that nothing changed around its pass and discard
+// the result otherwise. Optimistic readers register in optReaders before
 // touching index memory; only close() waits on that count, so writers
 // never block behind readers but pages are never unmapped under one.
 type lockedIndex struct {
@@ -889,30 +867,25 @@ type lockedIndex struct {
 	seq        atomic.Uint64
 	optReaders atomic.Int64
 	closedA    atomic.Bool
-	cache      *readCache
 	retryHist  *obs.Hist
 
 	// Fast-path accounting, surfaced through Stats.
-	cacheReads   atomic.Uint64
 	seqlockReads atomic.Uint64
 	lockedGets   atomic.Uint64
-	cacheMisses  atomic.Uint64
 	seqRetries   atomic.Uint64
 	seqFallbacks atomic.Uint64
 }
 
 func (l *lockedIndex) fillFastpath(st *Stats) {
-	st.FastpathCacheReads = l.cacheReads.Load()
 	st.FastpathSeqlockReads = l.seqlockReads.Load()
 	st.FastpathLockedReads = l.lockedGets.Load()
-	st.CacheMisses = l.cacheMisses.Load()
 	st.SeqlockRetries = l.seqRetries.Load()
 	st.SeqlockFallbacks = l.seqFallbacks.Load()
 }
 
 // beginWrite and endWrite bracket every mutating critical section: the
 // write lock plus the seqlock bumps (odd on entry, even on exit) that
-// invalidate in-flight optimistic readers and the whole hot-key cache.
+// invalidate in-flight optimistic readers.
 func (l *lockedIndex) beginWrite() {
 	l.mu.Lock()
 	l.seq.Add(1)
@@ -971,26 +944,12 @@ func (l *lockedIndex) Insert(key, value uint64) error {
 }
 
 func (l *lockedIndex) Lookup(key uint64) (uint64, bool) {
-	if c := l.cache; c != nil {
-		if s := l.seq.Load(); s&1 == 0 {
-			if v, ok := c.probe(key, s); ok {
-				l.cacheReads.Add(1)
-				return v, true
-			}
-			l.cacheMisses.Add(1)
-		}
-	}
 	l.rlock()
 	defer l.runlock()
 	if l.closed {
 		return 0, false
 	}
-	v, ok := l.idx.Lookup(key)
-	if c := l.cache; c != nil && ok {
-		// seq is stable under the read lock; the value is current there.
-		c.offer(key, v, l.seq.Load())
-	}
-	return v, ok
+	return l.idx.Lookup(key)
 }
 
 func (l *lockedIndex) Delete(key uint64) bool {
@@ -1043,14 +1002,14 @@ func (l *lockedIndex) DeleteInto(keys []uint64, found []bool) {
 // applyBatch executes a mixed batch under ONE lock acquisition — the
 // write lock when the batch mutates (or reads migrate, KindHTI), the
 // read lock for a pure-GET batch — so a coalesced pipeline round pays
-// one lock, not one per kind switch. A pure-GET batch of up to
-// seqlockMaxKeys entries first attempts the two-level lock-free fast
-// path (hot-key cache, then a seqlock-validated optimistic pass) and only
-// falls back here.
+// one lock, not one per kind switch. On read-safe kinds in plain builds
+// (the race detector would flag the unsynchronized reads, so -race
+// builds skip it) a pure-GET batch of up to seqlockMaxKeys entries first
+// attempts a seqlock-validated lock-free pass and only falls back here.
 func (l *lockedIndex) applyBatch(b *op.Batch, res *op.Results) ([3]uint64, error) {
 	pureGet := b.Mutations() == 0 && !l.readMutates
-	if pureGet && b.Len() > 0 && b.Len() <= seqlockMaxKeys {
-		if l.fastGets(b, res) {
+	if pureGet && !raceEnabled && l.readSafe && b.Len() > 0 && b.Len() <= seqlockMaxKeys {
+		if l.seqlockGets(b.Keys(), res) {
 			return op.CountRuns(b.Kinds()), nil
 		}
 	}
@@ -1071,63 +1030,7 @@ func (l *lockedIndex) applyBatch(b *op.Batch, res *op.Results) ([3]uint64, error
 		// migrating reads hold the write lock.
 		l.lockedGets.Add(uint64(b.Len()))
 	}
-	if pureGet {
-		if c := l.cache; c != nil {
-			// seq is stable under the read lock: stamp the values with it
-			// so the cache serves them until the next write.
-			s := l.seq.Load()
-			keys := b.Keys()
-			for i, k := range keys {
-				if res.Found[i] {
-					c.offer(k, res.Vals[i], s)
-				}
-			}
-		}
-	}
 	return runs, err
-}
-
-// fastGets serves a pure-GET batch without taking the lock. On read-safe
-// kinds (plain builds — the race detector would flag the unsynchronized
-// reads, so -race builds skip it) an optimistic pass answers each key
-// from the hot-key cache when it is resident at the current sequence
-// stamp and reads the rest from the index lock-free; the pass is kept
-// only if the sequence counter says no writer overlapped it, and after
-// seqlockRetries failed validations the caller falls back to the lock.
-// Elsewhere only the cache level runs, and only for a batch whose every
-// key is resident.
-func (l *lockedIndex) fastGets(b *op.Batch, res *op.Results) bool {
-	keys := b.Keys()
-	if !raceEnabled && l.readSafe {
-		return l.seqlockGets(keys, res)
-	}
-	return l.cacheGets(keys, res)
-}
-
-// cacheGets answers the batch from the hot-key cache when it holds every
-// key at one sequence stamp.
-func (l *lockedIndex) cacheGets(keys []uint64, res *op.Results) bool {
-	c := l.cache
-	if c == nil {
-		return false
-	}
-	s := l.seq.Load()
-	if s&1 != 0 {
-		return false
-	}
-	res.Reset(len(keys))
-	for i, k := range keys {
-		v, ok := c.probe(k, s)
-		if !ok {
-			l.cacheMisses.Add(1)
-			return false
-		}
-		res.Vals[i], res.Found[i] = v, true
-	}
-	// Every slot matched stamp s, so all values form one consistent
-	// snapshot as of the moment s was current — the linearization point.
-	l.cacheReads.Add(uint64(len(keys)))
-	return true
 }
 
 // seqlockRetries is how many discarded optimistic passes a pure-GET
@@ -1154,22 +1057,10 @@ func (l *lockedIndex) seqlockGets(keys []uint64, res *op.Results) bool {
 			runtime.Gosched() // writer inside; yield rather than spin
 			continue
 		}
-		hits, ok := l.optimisticPass(keys, res, s)
-		if ok && l.seq.Load() == s {
-			l.cacheReads.Add(uint64(hits))
-			if l.cache != nil {
-				l.cacheMisses.Add(uint64(len(keys) - hits))
-			}
-			l.seqlockReads.Add(uint64(len(keys) - hits))
+		if l.optimisticPass(keys, res) && l.seq.Load() == s {
+			l.seqlockReads.Add(uint64(len(keys)))
 			if l.retryHist != nil {
 				l.retryHist.Record(uint64(attempt))
-			}
-			if c := l.cache; c != nil {
-				for i, k := range keys {
-					if res.Found[i] {
-						c.offer(k, res.Vals[i], s)
-					}
-				}
 			}
 			return true
 		}
@@ -1179,13 +1070,12 @@ func (l *lockedIndex) seqlockGets(keys []uint64, res *op.Results) bool {
 	return false
 }
 
-// optimisticPass answers each key it finds in the hot-key cache at stamp
-// s and looks the rest up with ONE kernel batch call — one routing
-// decision and one lookup-counter add, as the paper's batch path makes
-// them — without any lock, protected only by the caller's seqlock
-// validation. A writer racing the pass can expose a mid-rebuild index
-// (a grown table's slices mid-swap), so an out-of-range panic from a
-// torn read is absorbed and reported as !ok; the caller discards the
+// optimisticPass looks the batch up with ONE kernel batch call — one
+// routing decision and one lookup-counter add, as the paper's batch
+// path makes them — without any lock, protected only by the caller's
+// seqlock validation. A writer racing the pass can expose a mid-rebuild
+// index (a grown table's slices mid-swap), so an out-of-range panic from
+// a torn read is absorbed and reported as !ok; the caller discards the
 // results either way, because the sequence counter has moved.
 //
 // Pinning one routing state across the pass is safe for Shortcut-EH
@@ -1196,24 +1086,15 @@ func (l *lockedIndex) seqlockGets(keys []uint64, res *op.Results) bool {
 // read a retired generation therefore read mapped memory, and the write
 // that retired it moved the sequence counter, so the result is
 // discarded.
-func (l *lockedIndex) optimisticPass(keys []uint64, res *op.Results, s uint64) (hits int, ok bool) {
+func (l *lockedIndex) optimisticPass(keys []uint64, res *op.Results) (ok bool) {
 	defer func() {
 		if recover() != nil {
 			ok = false
 		}
 	}()
 	res.Reset(len(keys))
-	c := l.cache
-	if c == nil {
-		l.idx.LookupInto(keys, res.Vals, res.Found)
-		return 0, true
-	}
-	for i, k := range keys {
-		if v, hit := c.probe(k, s); hit {
-			res.Vals[i], res.Found[i] = v, true
-		}
-	}
-	return len(keys) - res.LookupMissing(keys, l.idx.LookupInto), true
+	l.idx.LookupInto(keys, res.Vals, res.Found)
+	return true
 }
 
 func (l *lockedIndex) Range(fn func(key, value uint64) bool) {

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"vmshortcut/internal/workload"
 )
 
 // openKinds enumerates every kind with the options that make it openable
@@ -360,6 +362,99 @@ func TestOpenConcurrency(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOpenConcurrentMixedWorkload races inserting and deleting writers
+// against readers on a concurrent Shortcut-EH store with a fast mapper:
+// every value a reader sees — by single Lookup or by a GET batch, the
+// lock-free fast path — must be the one written for its key, and after
+// sync the surviving keys, Len and the routing statistics must all be
+// reported through the wrapper.
+func TestOpenConcurrentMixedWorkload(t *testing.T) {
+	s, err := Open(KindShortcutEH, WithConcurrency(true), WithPollInterval(time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	const writers = 2
+	const readers = 4
+	const perWriter = 15000
+	var wg sync.WaitGroup
+	// Writers own disjoint key ranges; value == key.
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(base uint64) {
+			defer wg.Done()
+			for i := uint64(0); i < perWriter; i++ {
+				if err := s.Insert(base+i+1, base+i+1); err != nil {
+					t.Errorf("Insert: %v", err)
+					return
+				}
+				if i%7 == 0 {
+					s.Delete(base + i/2 + 1)
+				}
+			}
+		}(uint64(w) * perWriter)
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			rng := workload.NewRNG(seed)
+			var b OpBatch
+			var res OpResults
+			for i := 0; i < 2500; i++ {
+				b.Reset()
+				for j := 0; j < 16; j++ {
+					b.Get(uint64(rng.Intn(writers*perWriter)) + 1)
+				}
+				if err := s.ApplyBatch(&b, &res); err != nil {
+					t.Errorf("ApplyBatch: %v", err)
+					return
+				}
+				for j, k := range b.Keys() {
+					if res.Found[j] && res.Vals[j] != k {
+						t.Errorf("batch GET %d = %d", k, res.Vals[j])
+						return
+					}
+				}
+				k := uint64(rng.Intn(writers*perWriter)) + 1
+				if v, ok := s.Lookup(k); ok && v != k {
+					t.Errorf("Lookup(%d) = %d", k, v)
+					return
+				}
+			}
+		}(uint64(r + 100))
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	if !s.WaitSync(10 * time.Second) {
+		t.Fatal("never synced")
+	}
+	// Deletions removed only keys from the first half of each range.
+	for w := 0; w < writers; w++ {
+		base := uint64(w) * perWriter
+		for i := uint64(perWriter/2 + 1); i < perWriter; i++ {
+			k := base + i + 1
+			if v, ok := s.Lookup(k); !ok || v != k {
+				t.Fatalf("surviving key %d = %d,%v", k, v, ok)
+			}
+		}
+	}
+	tbl, ok := AsShortcutEH(s)
+	if !ok {
+		t.Fatal("AsShortcutEH failed on a concurrent KindShortcutEH store")
+	}
+	if s.Len() != tbl.Len() {
+		t.Fatalf("Len = %d through the wrapper, %d on the table", s.Len(), tbl.Len())
+	}
+	if st := s.Stats(); st.ShortcutLookups+st.TraditionalLookups == 0 {
+		t.Fatalf("routing stats not wired through the wrapper: %+v", st)
 	}
 }
 

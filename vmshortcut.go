@@ -4,11 +4,8 @@ import (
 	"io"
 	"time"
 
-	"vmshortcut/internal/ch"
 	"vmshortcut/internal/core"
 	"vmshortcut/internal/eh"
-	"vmshortcut/internal/ht"
-	"vmshortcut/internal/hti"
 	"vmshortcut/internal/pool"
 	"vmshortcut/internal/radix"
 	"vmshortcut/internal/sceh"
@@ -49,52 +46,13 @@ func NewTraditionalNode(p *Pool, k int) *TraditionalNode { return core.NewTradit
 // NewShortcutNode reserves the virtual area for a k-slot shortcut node.
 func NewShortcutNode(p *Pool, k int) (*ShortcutNode, error) { return core.NewShortcut(p, k) }
 
-// HashTableConfig configures NewHashTable.
-type HashTableConfig = ht.Config
-
-// NewHashTable creates the HT baseline: one open-addressing table that
-// doubles (with a full rehash) when its load factor exceeds the threshold.
-//
-// Deprecated: use Open(KindHT, opts...) for the uniform Store surface.
-func NewHashTable(cfg HashTableConfig) Index { return ht.New(cfg) }
-
-// IncrementalConfig configures NewIncrementalHashTable.
-type IncrementalConfig = hti.Config
-
-// NewIncrementalHashTable creates the HTI baseline: Redis-style
-// incremental rehashing — each access migrates a batch of entries.
-//
-// Deprecated: use Open(KindHTI, opts...) for the uniform Store surface.
-func NewIncrementalHashTable(cfg IncrementalConfig) Index { return hti.New(cfg) }
-
-// ChainedConfig configures NewChainedHashTable.
-type ChainedConfig = ch.Config
-
-// NewChainedHashTable creates the CH baseline: a fixed-size table with
-// 128-byte overflow bucket chains and no rehashing.
-//
-// Deprecated: use Open(KindCH, opts...) for the uniform Store surface.
-func NewChainedHashTable(cfg ChainedConfig) Index { return ch.New(cfg) }
-
-// ExtendibleConfig configures NewExtendibleHashing.
+// ExtendibleConfig configures an extendible-hashing table; it is the
+// configuration RestoreExtendibleHashing takes.
 type ExtendibleConfig = eh.Config
 
 // ExtendibleHashing is the EH baseline with access to its directory
 // statistics (global depth, bucket count, version).
 type ExtendibleHashing = eh.Table
-
-// NewExtendibleHashing creates classical extendible hashing over pool
-// pages: a pointer directory indexed by the hash's most significant bits
-// over 4 KB buckets.
-//
-// Deprecated: use Open(KindEH, opts...) for the uniform Store surface;
-// AsExtendibleHashing recovers the concrete table, e.g. for snapshots.
-func NewExtendibleHashing(p *Pool, cfg ExtendibleConfig) (*ExtendibleHashing, error) {
-	return eh.New(p, cfg)
-}
-
-// ShortcutEHConfig configures NewShortcutEH.
-type ShortcutEHConfig = sceh.Config
 
 // ShortcutEH is the paper's contribution: extendible hashing whose
 // directory is additionally expressed as a page-table shortcut, maintained
@@ -102,40 +60,10 @@ type ShortcutEHConfig = sceh.Config
 // average fan-in permits.
 type ShortcutEH = sceh.Table
 
-// NewShortcutEH creates a Shortcut-EH index and starts its mapper thread.
-// Close it to stop the mapper and release the shortcut's virtual areas.
-//
-// Deprecated: use Open(KindShortcutEH, opts...) for the uniform Store
-// surface; AsShortcutEH recovers the concrete table.
-func NewShortcutEH(p *Pool, cfg ShortcutEHConfig) (*ShortcutEH, error) {
-	return sceh.New(p, cfg)
-}
-
-// ConcurrentShortcutEH is a Shortcut-EH table behind a readers-writer
-// lock: any number of concurrent Lookups, exclusive mutation.
-type ConcurrentShortcutEH = sceh.Concurrent
-
-// NewConcurrentShortcutEH creates a concurrency-safe Shortcut-EH table.
-//
-// Deprecated: use Open(KindShortcutEH, WithConcurrency(true), opts...).
-func NewConcurrentShortcutEH(p *Pool, cfg ShortcutEHConfig) (*ConcurrentShortcutEH, error) {
-	return sceh.NewConcurrent(p, cfg)
-}
-
-// RadixMapConfig configures NewRadixMap.
-type RadixMapConfig = radix.Config
-
 // RadixMap is a second shortcut application: a sparse direct-mapped
 // uint64→uint64 index over a bounded key space, whose single wide inner
 // node is expressed as a synchronously maintained page-table shortcut.
 type RadixMap = radix.Map
-
-// NewRadixMap creates a sparse direct-mapped index covering keys
-// [0, cfg.Capacity).
-//
-// Deprecated: use Open(KindRadix, WithCapacity(n), opts...); AsRadixMap
-// recovers the concrete map, e.g. for Range iteration.
-func NewRadixMap(p *Pool, cfg RadixMapConfig) (*RadixMap, error) { return radix.New(p, cfg) }
 
 // RestoreExtendibleHashing reads a snapshot written by
 // (*ExtendibleHashing).WriteSnapshot into a fresh table backed by p.

@@ -6,42 +6,26 @@ import (
 	"time"
 )
 
-// deferredBuffer is a tiny bytes.Buffer wrapper so the test reads the
-// snapshot back through a plain io.Reader.
-type deferredBuffer struct{ bytes.Buffer }
-
-func (b *deferredBuffer) reader() *bytes.Reader { return bytes.NewReader(b.Bytes()) }
-
-// TestFacadeIndexes drives every index constructor through the Index
-// interface — the integration test of the public API.
+// TestFacadeIndexes drives every hash-index kind, opened through Open,
+// through the Index interface — the integration test of the public API.
 func TestFacadeIndexes(t *testing.T) {
-	p, err := NewPool(PoolConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	ehTbl, err := NewExtendibleHashing(p, ExtendibleConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := NewPool(PoolConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p2.Close()
-	scTbl, err := NewShortcutEH(p2, ShortcutEHConfig{PollInterval: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer scTbl.Close()
-
-	indexes := map[string]Index{
-		"HT":          NewHashTable(HashTableConfig{}),
-		"HTI":         NewIncrementalHashTable(IncrementalConfig{}),
-		"CH":          NewChainedHashTable(ChainedConfig{TableBytes: 1 << 16}),
-		"EH":          ehTbl,
-		"Shortcut-EH": scTbl,
+	indexes := map[string]Index{}
+	for _, c := range []struct {
+		kind Kind
+		opts []Option
+	}{
+		{KindHT, nil},
+		{KindHTI, nil},
+		{KindCH, []Option{WithTableBytes(1 << 16)}},
+		{KindEH, nil},
+		{KindShortcutEH, []Option{WithPollInterval(time.Millisecond)}},
+	} {
+		s, err := Open(c.kind, c.opts...)
+		if err != nil {
+			t.Fatalf("Open(%s): %v", c.kind, err)
+		}
+		defer s.Close()
+		indexes[c.kind.String()] = s
 	}
 	const n = 20000
 	for name, idx := range indexes {
@@ -68,20 +52,19 @@ func TestFacadeIndexes(t *testing.T) {
 	}
 }
 
-// TestFacadeRadixAndSnapshot exercises the extension APIs end to end.
+// TestFacadeRadixAndSnapshot exercises the extension APIs end to end:
+// the radix map and the EH snapshot, each recovered from an Open store.
 func TestFacadeRadixAndSnapshot(t *testing.T) {
-	p, err := NewPool(PoolConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
 	// Radix map.
-	m, err := NewRadixMap(p, RadixMapConfig{Capacity: 100000})
+	rs, err := Open(KindRadix, WithCapacity(100000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	defer rs.Close()
+	m, ok := AsRadixMap(rs)
+	if !ok {
+		t.Fatal("AsRadixMap failed on a KindRadix store")
+	}
 	for k := uint64(0); k < 100000; k += 17 {
 		if err := m.Set(k, k*2); err != nil {
 			t.Fatal(err)
@@ -94,23 +77,28 @@ func TestFacadeRadixAndSnapshot(t *testing.T) {
 	}
 
 	// EH snapshot through the facade.
-	src, err := NewExtendibleHashing(p, ExtendibleConfig{})
+	es, err := Open(KindEH)
 	if err != nil {
 		t.Fatal(err)
+	}
+	defer es.Close()
+	src, ok := AsExtendibleHashing(es)
+	if !ok {
+		t.Fatal("AsExtendibleHashing failed on a KindEH store")
 	}
 	for k := uint64(0); k < 10000; k++ {
 		src.Insert(k, k+5)
 	}
-	var buf deferredBuffer
+	var buf bytes.Buffer
 	if err := src.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	p2, err := NewPool(PoolConfig{})
+	p, err := NewPool(PoolConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p2.Close()
-	dst, err := RestoreExtendibleHashing(p2, ExtendibleConfig{}, buf.reader())
+	defer p.Close()
+	dst, err := RestoreExtendibleHashing(p, ExtendibleConfig{}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
