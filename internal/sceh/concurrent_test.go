@@ -8,13 +8,50 @@ import (
 	"vmshortcut/internal/workload"
 )
 
+// The tests in this file run a Table under the readers-writer discipline
+// the facade's concurrent stores put around it: any number of concurrent
+// Lookups, exclusive Insert/Delete, and the mapper thread taking no part
+// in the lock. They check that the version protocol alone keeps lookups
+// correct against the mapper while the lock orders the callers.
+
+// rwTable guards a Table with a readers-writer lock.
+type rwTable struct {
+	mu sync.RWMutex
+	t  *Table
+}
+
+func (c *rwTable) Insert(key, value uint64) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t.Insert(key, value)
+}
+
+func (c *rwTable) Delete(key uint64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t.Delete(key)
+}
+
+func (c *rwTable) Lookup(key uint64) (uint64, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.t.Lookup(key)
+}
+
+func (c *rwTable) Len() int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.t.Len()
+}
+
+func (c *rwTable) Stats() Stats {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.t.Stats()
+}
+
 func TestConcurrentMixedWorkload(t *testing.T) {
-	p := newPool(t)
-	c, err := NewConcurrent(p, Config{PollInterval: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
+	c := &rwTable{t: newTable(t, Config{PollInterval: time.Millisecond})}
 
 	const writers = 2
 	const readers = 4
@@ -64,7 +101,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 		}
 	}
 
-	if !c.WaitSync(10 * time.Second) {
+	if !c.t.WaitSync(10 * time.Second) {
 		t.Fatal("never synced")
 	}
 	// Verify all surviving keys (deletions removed some of the first half
@@ -81,25 +118,26 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 }
 
 func TestConcurrentLenAndStats(t *testing.T) {
-	p := newPool(t)
-	c, err := NewConcurrent(p, Config{PollInterval: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
+	c := &rwTable{t: newTable(t, Config{PollInterval: time.Millisecond})}
 	for k := uint64(1); k <= 1000; k++ {
-		c.Insert(k, k)
+		if err := c.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if c.Len() != 1000 {
 		t.Fatalf("Len = %d", c.Len())
 	}
-	c.WaitSync(5 * time.Second)
-	c.Lookup(5)
+	if !c.t.WaitSync(5 * time.Second) {
+		t.Fatal("never synced")
+	}
+	if v, ok := c.Lookup(5); !ok || v != 5 {
+		t.Fatalf("Lookup(5) = %d,%v", v, ok)
+	}
 	s := c.Stats()
 	if s.ShortcutLookups+s.TraditionalLookups == 0 {
-		t.Fatal("stats not wired through")
+		t.Fatal("lookup stats not counted")
 	}
-	if c.Table().Len() != 1000 {
-		t.Fatal("Table() accessor broken")
+	if c.t.EH().Len() != 1000 {
+		t.Fatalf("EH().Len = %d", c.t.EH().Len())
 	}
 }
